@@ -159,6 +159,7 @@ pub fn combine_metrics_json(sections: &[(String, String)]) -> String {
     out
 }
 
+pub mod alloc;
 pub mod fleet;
 pub mod table7;
 

@@ -2,11 +2,14 @@
 //!
 //! Network firewalls let administrators organize rules into chains by
 //! hand; the Process Firewall builds chains *automatically* from rule
-//! entrypoints (Section 4.3). Partitioning preserves verdicts **only
-//! if install order is preserved**: ACCEPT, RETURN, LOG, and STATE
-//! rules make outcomes order-dependent, so the engine walks the
-//! generic and entrypoint-bound partitions as a merge over the index
-//! vectors below (ascending install indices), never one partition
+//! entrypoints (Section 4.3). The snapshot compile runs the input chain
+//! through the one builder in `compile.rs` twice: an entrypoint-only
+//! table (one bucket per entrypoint chain, the generic rules in the
+//! wildcard) for EPTSPC, and the three-axis (op, label, entrypoint)
+//! table for RULESETC. Partitioning preserves verdicts **only if
+//! install order is preserved**: ACCEPT, RETURN, LOG, and STATE rules
+//! make outcomes order-dependent, so the engine walks the selected
+//! buckets as a merge over ascending install indices, never one bucket
 //! after the other. The partition changes how many rules the engine
 //! must look at, not the order in which the surviving ones run.
 //!
@@ -20,7 +23,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use pf_types::{PfError, PfResult, ProgramId};
+use pf_types::{PfError, PfResult};
 
 use crate::compile::CompiledDispatch;
 use crate::rule::{CtxPolicy, Rule, Target};
@@ -65,8 +68,8 @@ impl ChainName {
     }
 }
 
-/// The installed rules, per chain, in evaluation order, plus the compiled
-/// entrypoint index used by the EPTSPC optimization.
+/// The installed rules, per chain, in evaluation order, plus the input
+/// chain's compiled dispatch tables.
 ///
 /// `Clone` supports the engine's copy-on-write reload path: rule edits
 /// clone the current base, mutate the copy, and publish it as a fresh
@@ -74,29 +77,22 @@ impl ChainName {
 #[derive(Debug, Clone)]
 pub struct RuleBase {
     chains: BTreeMap<ChainName, Vec<Rule>>,
-    /// Indices (into the input chain) of rules without an entrypoint.
-    input_generic: Vec<usize>,
-    /// Entrypoint → indices of input-chain rules bound to it.
-    input_by_ept: HashMap<(ProgramId, u64), Vec<usize>>,
     /// Static cacheability summary: `true` when every rule reachable
     /// from the built-in chains (following `-j` jumps) is pure for the
     /// verdict cache. Conservative and advisory — the engine also
     /// tracks purity per walk, so a mixed base still caches the walks
     /// that avoid its impure rules.
     statically_cacheable: bool,
-    /// Indices of *every* entrypoint-bound input rule, in chain order.
-    /// Scanned when the entrypoint fetch *fails*: without a trusted
-    /// entrypoint the partition cannot be consulted, so each bound
-    /// rule's `--ctx-missing` policy must get its say (Section 4.3's
-    /// soundness argument assumes a successful, possibly-absent fetch).
-    input_entrypoint_all: Vec<usize>,
     /// Chain-level `--ctx-missing` defaults (`pftables -P chain
     /// --ctx-missing ...`), consulted when a rule has no override.
     ctx_defaults: BTreeMap<ChainName, CtxPolicy>,
     /// RULESETC artifact: the input chain compiled into per-(op, label,
-    /// entrypoint) dispatch buckets (see `compile.rs`). Rebuilt by
-    /// [`RuleBase::recompile`] alongside the EPTSPC partition.
+    /// entrypoint) dispatch buckets (see `compile.rs`).
     input_dispatch: CompiledDispatch,
+    /// EPTSPC artifact: the same compile on the entrypoint axis only —
+    /// one bucket per entrypoint chain, the generic rules in the
+    /// wildcard. Also the RULESETC fallback when the label is unreadable.
+    input_ept_dispatch: CompiledDispatch,
     /// Batch-compile mode: while set, mutators only mark [`Self::dirty`]
     /// instead of recompiling, so an N-rule reload compiles once instead
     /// of N times (quadratic at 10k+ rules). Entered by
@@ -112,12 +108,10 @@ impl Default for RuleBase {
     fn default() -> Self {
         RuleBase {
             chains: BTreeMap::new(),
-            input_generic: Vec::new(),
-            input_by_ept: HashMap::new(),
-            input_entrypoint_all: Vec::new(),
             statically_cacheable: true,
             ctx_defaults: BTreeMap::new(),
             input_dispatch: CompiledDispatch::default(),
+            input_ept_dispatch: CompiledDispatch::default(),
             deferred: false,
             dirty: false,
         }
@@ -306,27 +300,16 @@ impl RuleBase {
     }
 
     /// Snapshot compile step, run on every rule-base mutation: rebuilds
-    /// the entrypoint partition of the input chain, the RULESETC
-    /// dispatch tables, and the static cacheability summary.
+    /// the input chain's two dispatch tables and the static
+    /// cacheability summary.
     fn recompile(&mut self) {
-        self.input_generic.clear();
-        self.input_by_ept.clear();
-        self.input_entrypoint_all.clear();
         self.statically_cacheable = self.compute_statically_cacheable();
-        let Some(input) = self.chains.get(&ChainName::Input) else {
-            self.input_dispatch = CompiledDispatch::default();
-            return;
-        };
-        self.input_dispatch = CompiledDispatch::compile(input);
-        for (i, rule) in input.iter().enumerate() {
-            match rule.def.entrypoint() {
-                Some(key) => {
-                    self.input_by_ept.entry(key).or_default().push(i);
-                    self.input_entrypoint_all.push(i);
-                }
-                None => self.input_generic.push(i),
-            }
-        }
+        let input = self.chain(&ChainName::Input);
+        let tables = (
+            CompiledDispatch::compile(input),
+            CompiledDispatch::compile_entrypoint_only(input),
+        );
+        (self.input_dispatch, self.input_ept_dispatch) = tables;
     }
 
     /// Walks the jump graph from the built-in chains and reports whether
@@ -361,30 +344,14 @@ impl RuleBase {
         self.statically_cacheable
     }
 
-    /// Indices of input-chain rules with no entrypoint (always scanned).
-    pub fn input_generic(&self) -> &[usize] {
-        &self.input_generic
-    }
-
-    /// Indices of input-chain rules bound to `ept`, if any.
-    pub fn input_for_entrypoint(&self, ept: (ProgramId, u64)) -> Option<&[usize]> {
-        self.input_by_ept.get(&ept).map(Vec::as_slice)
-    }
-
-    /// Number of distinct entrypoint-specific chains.
-    pub fn entrypoint_chain_count(&self) -> usize {
-        self.input_by_ept.len()
-    }
-
-    /// Indices of every entrypoint-bound input rule, in chain order —
-    /// the degraded-path scan used when the entrypoint fetch fails.
-    pub fn input_entrypoint_all(&self) -> &[usize] {
-        &self.input_entrypoint_all
-    }
-
-    /// The compiled RULESETC dispatch tables for the input chain.
+    /// The compiled RULESETC dispatch table for the input chain.
     pub fn input_dispatch(&self) -> &CompiledDispatch {
         &self.input_dispatch
+    }
+
+    /// The entrypoint-only dispatch table for the input chain (EPTSPC).
+    pub fn input_ept_dispatch(&self) -> &CompiledDispatch {
+        &self.input_ept_dispatch
     }
 
     /// Sets (or with `None`, clears) a chain's `--ctx-missing` default.
@@ -454,13 +421,9 @@ mod tests {
         rb.add(ChainName::Input, rule("e1", Some((1, 0x10))), false);
         rb.add(ChainName::Input, rule("e1b", Some((1, 0x10))), false);
         rb.add(ChainName::Input, rule("e2", Some((2, 0x20))), false);
-        assert_eq!(rb.input_generic(), &[0]);
-        assert_eq!(
-            rb.input_for_entrypoint((InternId(1), 0x10)).unwrap(),
-            &[1, 2]
-        );
-        assert_eq!(rb.entrypoint_chain_count(), 2);
-        assert!(rb.input_for_entrypoint((InternId(9), 0x9)).is_none());
+        let eptspc = rb.input_ept_dispatch();
+        assert_eq!(eptspc.wildcard_len(), 1, "one generic rule");
+        assert_eq!(eptspc.bucket_count(), 2, "two entrypoint chains");
     }
 
     #[test]
@@ -470,7 +433,8 @@ mod tests {
         rb.add(ChainName::Input, rule("b", Some((1, 2))), false);
         rb.delete(&ChainName::Input, "b").unwrap();
         assert_eq!(rb.len(), 1);
-        assert!(rb.input_for_entrypoint((InternId(1), 2)).is_none());
+        assert_eq!(rb.input_ept_dispatch().bucket_count(), 0);
+        assert!(!rb.input_ept_dispatch().has_ept_buckets());
         assert!(rb.delete(&ChainName::Input, "zzz").is_err());
     }
 

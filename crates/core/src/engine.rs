@@ -42,7 +42,7 @@ use pf_types::{Interner, LsmOperation, PfResult, Verdict};
 use pf_mac::MacPolicy;
 
 use crate::chain::ChainName;
-use crate::compile::MergeDispatch;
+use crate::compile::CompiledDispatch;
 use crate::config::{OptLevel, PfConfig};
 use crate::context::Packet;
 use crate::env::{CtxError, EvalEnv, Fetched};
@@ -233,15 +233,9 @@ impl ProcessFirewall {
     /// Switches optimization preset (rules are kept), returning the new
     /// snapshot generation. On error the previous snapshot stays live.
     pub fn set_level(&self, level: OptLevel) -> PfResult<u64> {
-        self.set_config(level.config())
-    }
-
-    /// Sets an explicit configuration, returning the new snapshot
-    /// generation. On error the previous snapshot stays live.
-    pub fn set_config(&self, config: PfConfig) -> PfResult<u64> {
         let span = self.control_span();
         let ((), generation) = self.shared.update(|d| {
-            d.config = config;
+            d.config = level.config();
             Ok(())
         })?;
         self.note_commit(span, generation);
@@ -779,20 +773,7 @@ impl ProcessFirewall {
                                     self.logs.push(log);
                                 }
                                 self.metrics.observe_eval(t0);
-                                let verdict = match entry.kind {
-                                    VerdictKind::Drop => EventVerdict::Deny,
-                                    VerdictKind::Accept => EventVerdict::Allow,
-                                    VerdictKind::DefaultAllow => EventVerdict::DefaultAllow,
-                                };
-                                let rk = if event_id != 0 {
-                                    decision
-                                        .dropped_by
-                                        .as_ref()
-                                        .map(|(c, i)| events::rule_key(c, *i))
-                                        .unwrap_or(0)
-                                } else {
-                                    0
-                                };
+                                let rk = event_rule_key(event_id, &decision, 0);
                                 self.emit_decision_event(
                                     gate,
                                     shard,
@@ -801,7 +782,7 @@ impl ProcessFirewall {
                                     &mut pkt,
                                     op,
                                     &decision,
-                                    verdict,
+                                    entry.kind.into(),
                                     vc_outcome,
                                     ThrottleOutcome::None,
                                     0,
@@ -898,20 +879,8 @@ impl ProcessFirewall {
         }
         self.logs.append(scratch);
         self.metrics.observe_eval(t0);
-        let verdict = match kind {
-            VerdictKind::Drop => EventVerdict::Deny,
-            VerdictKind::Accept => EventVerdict::Allow,
-            VerdictKind::DefaultAllow => EventVerdict::DefaultAllow,
-        };
-        let rk = if event_id != 0 {
-            decision
-                .dropped_by
-                .as_ref()
-                .map(|(c, i)| events::rule_key(c, *i))
-                .unwrap_or(fired_rule)
-        } else {
-            0
-        };
+        let rk = event_rule_key(event_id, &decision, fired_rule);
+        let verdict = EventVerdict::from(kind);
         self.emit_decision_event(
             gate, shard, event_id, ev_t0, &mut pkt, op, &decision, verdict, vc_outcome, throttle,
             hops, rk,
@@ -979,6 +948,19 @@ impl ProcessFirewall {
     }
 }
 
+/// The [`events::rule_key`] a sampled decision event reports: the
+/// denying rule, else `fired` (the ACCEPT rule that ended the walk, or
+/// 0). Unsampled invocations (`event_id == 0`) skip the hash.
+fn event_rule_key(event_id: u64, decision: &EvalDecision, fired: u64) -> u64 {
+    if event_id == 0 {
+        return 0;
+    }
+    decision
+        .dropped_by
+        .as_ref()
+        .map_or(fired, |(c, i)| events::rule_key(c, *i))
+}
+
 /// One invocation's traversal state: the pinned snapshot, the engine's
 /// shared metrics, and the invocation-local LOG buffer. Everything
 /// mutable is owned by this (stack-allocated) value, which is what
@@ -1013,36 +995,6 @@ struct Invocation<'a> {
     /// any; denials are attributed via `dropped_by` instead. Only
     /// computed when `event_id != 0`.
     fired_rule: u64,
-}
-
-/// Merges two ascending index slices into one ascending sequence — the
-/// two-way merge that restores install order when the input chain's
-/// generic and entrypoint-bound partitions are walked together.
-struct MergeIndices<'s> {
-    a: &'s [usize],
-    b: &'s [usize],
-}
-
-impl<'s> MergeIndices<'s> {
-    fn new(a: &'s [usize], b: &'s [usize]) -> Self {
-        MergeIndices { a, b }
-    }
-}
-
-impl Iterator for MergeIndices<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        let from_a = match (self.a.first(), self.b.first()) {
-            (Some(&x), Some(&y)) => x <= y,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        let source = if from_a { &mut self.a } else { &mut self.b };
-        let (&head, rest) = source.split_first()?;
-        *source = rest;
-        Some(head)
-    }
 }
 
 /// The tri-state outcome of matching one rule against a packet.
@@ -1087,46 +1039,54 @@ impl<'a> Invocation<'a> {
             ChainName::Input
         };
         if start == ChainName::Input && self.config.compiled_dispatch && !snap.is_empty() {
-            self.run_input_dispatch(pkt, op)
+            self.run_input_dispatch(snap.input_dispatch(), true, pkt, op)
         } else if self.config.entrypoint_chains && start == ChainName::Input {
-            self.run_input_eptspc(pkt, op)
+            self.run_input_dispatch(snap.input_ept_dispatch(), false, pkt, op)
         } else {
             self.run_chain(&start, pkt, op, 0)
         }
     }
 
-    /// RULESETC: walk the input chain through the compiled dispatch
-    /// tables. Only the buckets whose indexed selectors could accept
+    /// The one indexed walk of the input chain, over either compiled
+    /// table: the three-axis one at RULESETC (`rulesetc` set, which
+    /// also gates the `rulesetc_*` counters) or the entrypoint-only one
+    /// at EPTSPC. Only the buckets whose indexed selectors could accept
     /// this invocation are consulted, merged back into install order
-    /// (see `compile.rs` for the soundness argument). Fetch failures
-    /// never consult the index: a failed entrypoint unwind degrades to
-    /// the full-chain walk exactly like EPTSPC, and a failed object
-    /// fetch falls back one rung to the EPTSPC merged walk — in both
-    /// cases every indexed rule's `--ctx-missing` policy gets its say.
+    /// (see `compile.rs` for the soundness argument).
+    ///
+    /// Fetch failures never consult a concrete bucket. A failed
+    /// entrypoint unwind degrades to the full-chain walk, so every
+    /// bound rule's `--ctx-missing` policy gets its say. A failed
+    /// object fetch (only the three-axis table has label buckets)
+    /// re-runs on the entrypoint-only table: the label axis is dropped
+    /// and the rules that need the label arbitrate through
+    /// `--ctx-missing` as usual.
     fn run_input_dispatch(
         &mut self,
+        dispatch: &'a CompiledDispatch,
+        rulesetc: bool,
         pkt: &mut Packet<'_>,
         op: LsmOperation,
     ) -> Option<EvalDecision> {
-        let snap = self.snap;
-        let input = snap.chain(&ChainName::Input);
-        let dispatch = snap.input_dispatch();
-        // Each constrained dimension is resolved *before* traversal
-        // (same reasoning as EPTSPC: interleaved ACCEPT/RETURN/LOG/
-        // STATE rules make relative order verdict-relevant, so the
-        // applicable buckets must be known up front to merge them).
-        // Unconstrained dimensions skip the fetch — and its failure
-        // modes — entirely.
+        let input = self.snap.chain(&ChainName::Input);
+        // Each constrained axis is resolved *before* traversal:
+        // interleaved ACCEPT/RETURN/LOG/STATE rules make relative order
+        // verdict-relevant, so the applicable buckets must be known up
+        // front to merge them. Unconstrained axes skip the fetch — and
+        // its failure modes — entirely.
         let ept = if dispatch.has_ept_buckets() {
             match pkt.entrypoint_value(self.metrics) {
                 Fetched::Value(ept) => Some(ept),
-                // Benign absence: only entrypoint-wildcard buckets apply.
+                // Benign absence (e.g. a sanitized malformed stack,
+                // Section 4.4): only entrypoint-wildcard buckets apply.
                 Fetched::Missing => None,
                 Fetched::Failed(_) => {
-                    // Degraded path, identical to EPTSPC's: without a
-                    // trusted entrypoint no bucket can be excluded.
+                    // Without a trusted entrypoint no bucket can be
+                    // excluded: walk the whole chain in install order.
                     self.degraded = true;
-                    self.metrics.bump_rulesetc_fallback();
+                    if rulesetc {
+                        self.metrics.bump_rulesetc_fallback();
+                    }
                     return self.run_seq(&ChainName::Input, input.iter().enumerate(), pkt, op, 0);
                 }
             }
@@ -1141,65 +1101,31 @@ impl<'a> Invocation<'a> {
                 // selector's own Missing → NoMatch semantics).
                 Fetched::Missing => None,
                 Fetched::Failed(_) => {
-                    // The object fetch failed: label buckets cannot be
-                    // consulted, but the entrypoint partition still
-                    // can (the unwind is memoized above, so the EPTSPC
-                    // walk re-reads the same value). Not `degraded` by
-                    // itself — the rules that actually need the label
-                    // will arbitrate through `--ctx-missing` as usual.
+                    // The entrypoint-only table re-reads the memoized
+                    // unwind. Not `degraded` by itself.
                     self.metrics.bump_rulesetc_fallback();
-                    return self.run_input_eptspc(pkt, op);
+                    let eptspc = self.snap.input_ept_dispatch();
+                    return self.run_input_dispatch(eptspc, false, pkt, op);
                 }
             }
         } else {
             None
         };
-        self.metrics.bump_rulesetc_dispatch();
-        let mut slices: [&[usize]; 8] = [&[]; 8];
-        let n = dispatch.select(op, label, ept, &mut slices);
-        let merged = MergeDispatch::new(&slices[..n]).map(|i| (i, &input[i]));
+        if rulesetc {
+            self.metrics.bump_rulesetc_dispatch();
+        }
+        let merged = dispatch.select(op, label, ept).map(|i| (i, &input[i]));
         self.run_seq(&ChainName::Input, merged, pkt, op, 0)
     }
 
-    /// EPTSPC: walk the input chain as a two-way merge of the generic
-    /// partition and the caller's entrypoint-bound partition.
-    fn run_input_eptspc(&mut self, pkt: &mut Packet<'_>, op: LsmOperation) -> Option<EvalDecision> {
-        let snap = self.snap;
-        let input = snap.chain(&ChainName::Input);
-        if snap.entrypoint_chain_count() == 0 {
-            // No entrypoint-bound rules: the generic indices are the
-            // whole chain, and no unwind is needed to walk it.
-            let generic = snap.input_generic().iter().map(|&i| (i, &input[i]));
-            return self.run_seq(&ChainName::Input, generic, pkt, op, 0);
-        }
-        // Bound chains exist, so which rules apply depends on the
-        // caller's entrypoint — resolve it *before* traversal so the
-        // generic and bound partitions can be merged back into
-        // install order. Interleaved ACCEPT/RETURN/LOG/STATE rules
-        // make relative order verdict-relevant, so a generic-first
-        // walk would diverge from FULL.
-        match pkt.entrypoint_value(self.metrics) {
-            Fetched::Value(ept) => {
-                let bound = snap.input_for_entrypoint(ept).unwrap_or(&[]);
-                let merged = MergeIndices::new(snap.input_generic(), bound).map(|i| (i, &input[i]));
-                self.run_seq(&ChainName::Input, merged, pkt, op, 0)
-            }
-            // Benign absence (e.g. a sanitized malformed stack,
-            // Section 4.4): no entrypoint chain applies — only the
-            // generic rules can match.
-            Fetched::Missing => {
-                let generic = snap.input_generic().iter().map(|&i| (i, &input[i]));
-                self.run_seq(&ChainName::Input, generic, pkt, op, 0)
-            }
-            // Degraded path: without a trusted entrypoint the
-            // partition cannot be consulted, so walk the *whole*
-            // input chain in install order — exactly the FULL
-            // traversal — and let each rule's `--ctx-missing`
-            // policy decide.
-            Fetched::Failed(_) => {
-                self.degraded = true;
-                self.run_seq(&ChainName::Input, input.iter().enumerate(), pkt, op, 0)
-            }
+    /// The decision for a deny attributed to `chain[index]`.
+    fn deny(&self, chain: &ChainName, index: usize, degraded: bool) -> EvalDecision {
+        EvalDecision {
+            verdict: Verdict::Deny,
+            dropped_by: Some((chain.name(), index)),
+            generation: self.snap.generation(),
+            degraded,
+            adv_generation: 0,
         }
     }
 
@@ -1261,13 +1187,7 @@ impl<'a> Invocation<'a> {
                     // attributed to this rule and flagged degraded.
                     self.metrics.bump_drops();
                     self.emit_log(pkt, op, "CTXFAIL", "DENY");
-                    return Some(EvalDecision {
-                        verdict: Verdict::Deny,
-                        dropped_by: Some((chain.name(), index)),
-                        generation: self.snap.generation(),
-                        degraded: true,
-                        adv_generation: 0,
-                    });
+                    return Some(self.deny(chain, index, true));
                 }
                 RuleEval::Match => {}
             }
@@ -1281,13 +1201,7 @@ impl<'a> Invocation<'a> {
                 Target::Drop => {
                     self.metrics.bump_drops();
                     self.emit_log(pkt, op, "DROP", "DENY");
-                    return Some(EvalDecision {
-                        verdict: Verdict::Deny,
-                        dropped_by: Some((chain.name(), index)),
-                        generation: self.snap.generation(),
-                        degraded: self.degraded,
-                        adv_generation: 0,
-                    });
+                    return Some(self.deny(chain, index, self.degraded));
                 }
                 Target::Accept => {
                     self.metrics.bump_accepts();
@@ -1373,13 +1287,7 @@ impl<'a> Invocation<'a> {
                     CtxPolicy::Drop => {
                         self.metrics.bump_drops();
                         self.emit_log(pkt, op, "CTXFAIL", "DENY");
-                        Some(EvalDecision {
-                            verdict: Verdict::Deny,
-                            dropped_by: Some((chain.name(), index)),
-                            generation: self.snap.generation(),
-                            degraded: true,
-                            adv_generation: 0,
-                        })
+                        Some(self.deny(chain, index, true))
                     }
                     // Explicit opt-out (`--ctx-missing skip`): the rule
                     // stands aside, but never silently — the decision
@@ -1440,13 +1348,7 @@ impl<'a> Invocation<'a> {
             ExceedPolicy::Drop => {
                 self.metrics.bump_drops();
                 self.emit_log(pkt, op, tag, "DENY");
-                Some(EvalDecision {
-                    verdict: Verdict::Deny,
-                    dropped_by: Some((chain.name(), index)),
-                    generation: self.snap.generation(),
-                    degraded: self.degraded,
-                    adv_generation: 0,
-                })
+                Some(self.deny(chain, index, self.degraded))
             }
             ExceedPolicy::Log => {
                 self.emit_log(pkt, op, tag, "ALLOW");
@@ -2845,38 +2747,50 @@ mod tests {
 
     #[test]
     fn rulesetc_failed_unwind_degrades_to_full_walk() {
-        // Same contract as EPTSPC: a failed unwind means no bucket can
-        // be excluded, so the whole input chain walks and the bound
-        // rule's fail-closed default still denies.
-        let pf = ProcessFirewall::new(OptLevel::RulesetC);
-        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
-        install(
-            &pf,
-            &mut env,
-            "pftables -p /usr/bin/apache2 -i 0x100 -o FILE_OPEN -j DROP",
-        );
-        env.fail_unwind = true;
-        let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
-        assert_eq!(d.verdict, Verdict::Deny, "must fail closed");
-        assert!(d.degraded);
-        assert_eq!(pf.metrics().rulesetc_fallback(), 1);
-        assert_eq!(pf.metrics().rulesetc_dispatch(), 0);
+        // Same contract at EPTSPC and RULESETC: a failed unwind means no
+        // bucket can be excluded, so the whole input chain walks and the
+        // bound rule's fail-closed default still denies. The `rulesetc_*`
+        // counters move at RULESETC only.
+        for level in [OptLevel::EptSpc, OptLevel::RulesetC] {
+            let pf = ProcessFirewall::new(level);
+            let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+            install(
+                &pf,
+                &mut env,
+                "pftables -p /usr/bin/apache2 -i 0x100 -o FILE_OPEN -j DROP",
+            );
+            env.fail_unwind = true;
+            let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
+            assert_eq!(d.verdict, Verdict::Deny, "{level:?}: must fail closed");
+            assert!(d.degraded);
+            let fallbacks = u64::from(level == OptLevel::RulesetC);
+            assert_eq!(pf.metrics().rulesetc_fallback(), fallbacks, "{level:?}");
+            assert_eq!(pf.metrics().rulesetc_dispatch(), 0);
+        }
     }
 
     #[test]
     fn rulesetc_failed_object_falls_back_to_eptspc_walk() {
         // A failed object fetch disables the label dimension only: the
-        // walk degrades one rung (EPTSPC merge) and the label-bearing
-        // DROP rule still fails closed through `--ctx-missing`.
-        let pf = ProcessFirewall::new(OptLevel::RulesetC);
-        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
-        install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
-        env.fail_object = true;
-        let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
-        assert_eq!(d.verdict, Verdict::Deny, "DROP rule fails closed");
-        assert!(d.degraded);
-        assert_eq!(pf.metrics().rulesetc_fallback(), 1);
-        assert_eq!(pf.metrics().rulesetc_dispatch(), 0);
+        // walk re-runs on the entrypoint-only table (EPTSPC's own) and
+        // the label-bearing DROP rule still fails closed through
+        // `--ctx-missing`.
+        for level in [OptLevel::EptSpc, OptLevel::RulesetC] {
+            let pf = ProcessFirewall::new(level);
+            let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+            install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
+            env.fail_object = true;
+            let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
+            assert_eq!(
+                d.verdict,
+                Verdict::Deny,
+                "{level:?}: DROP rule fails closed"
+            );
+            assert!(d.degraded);
+            let fallbacks = u64::from(level == OptLevel::RulesetC);
+            assert_eq!(pf.metrics().rulesetc_fallback(), fallbacks, "{level:?}");
+            assert_eq!(pf.metrics().rulesetc_dispatch(), 0);
+        }
     }
 
     #[test]
@@ -2999,7 +2913,12 @@ mod tests {
             "pftables -p /usr/bin/apache2 -i 0x100 -o FILE_OPEN -j ACCEPT",
             "pftables -p /usr/bin/apache2 -i 0x100 -o FILE_OPEN -j RETURN",
         ] {
-            for level in [OptLevel::Full, OptLevel::EptSpc, OptLevel::Vcache] {
+            for level in [
+                OptLevel::Full,
+                OptLevel::EptSpc,
+                OptLevel::Vcache,
+                OptLevel::RulesetC,
+            ] {
                 let pf = ProcessFirewall::new(level);
                 let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
                 install(&pf, &mut env, bound_rule);
@@ -3018,6 +2937,9 @@ mod tests {
                     Verdict::Deny,
                     "{level:?}: unbound caller falls through to the DROP"
                 );
+                // Only the RULESETC rung counts its dispatches.
+                let dispatched = pf.metrics().rulesetc_dispatch() > 0;
+                assert_eq!(dispatched, level == OptLevel::RulesetC, "{level:?}");
             }
         }
     }

@@ -57,12 +57,14 @@ pub fn render_rules(pf: &ProcessFirewall) -> String {
             );
         }
     }
+    let base = pf.base();
+    let eptspc = base.input_ept_dispatch();
     let _ = writeln!(
         out,
         "{} rules total; {} entrypoint-specific chains; {} generic input rules",
         pf.rule_count(),
-        pf.base().entrypoint_chain_count(),
-        pf.base().input_generic().len()
+        eptspc.bucket_count(),
+        eptspc.wildcard_len()
     );
     out
 }

@@ -42,7 +42,7 @@ use crate::chain::RuleBase;
 use crate::config::PfConfig;
 
 /// One immutable published state of the firewall: the configuration,
-/// the compiled rule base (chains + entrypoint partition), and the
+/// the compiled rule base (chains + dispatch tables), and the
 /// generation number under which it was published.
 ///
 /// Snapshots are frozen at publication; all mutation happens on a
@@ -76,8 +76,9 @@ impl RulesetSnapshot {
         self.generation
     }
 
-    /// Nanoseconds spent compiling this snapshot's rule base (EPTSPC
-    /// partition + RULESETC dispatch tables + cacheability analysis).
+    /// Nanoseconds spent compiling this snapshot's rule base (the input
+    /// chain's entrypoint-only and three-axis dispatch tables, plus the
+    /// cacheability analysis).
     pub fn compile_ns(&self) -> u64 {
         self.compile_ns
     }
@@ -235,8 +236,7 @@ impl SharedRuleset {
             base: current.base.clone(),
         };
         // Batch-compile: a restore-style edit adds thousands of rules,
-        // and recompiling the EPTSPC partition + RULESETC dispatch per
-        // mutation is quadratic. Defer, then compile once (timed) below.
+        // and recompiling the dispatch tables per mutation is quadratic. Defer, then compile once (timed) below.
         draft.base.set_deferred();
         let value = edit(&mut draft)?;
         // Throttle-state carryover: RATELIMIT/QUOTA rules re-submitted

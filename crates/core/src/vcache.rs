@@ -33,6 +33,7 @@ use pf_types::{LsmOperation, ProgramId, SecId};
 use crate::context::Packet;
 use crate::engine::EvalDecision;
 use crate::env::Fetched;
+use crate::events::EventVerdict;
 use crate::log::LogEntry;
 use crate::metrics::Metrics;
 
@@ -112,6 +113,16 @@ pub enum VerdictKind {
     Accept,
     /// No terminal rule matched: the default-allow policy applied.
     DefaultAllow,
+}
+
+impl From<VerdictKind> for EventVerdict {
+    fn from(kind: VerdictKind) -> Self {
+        match kind {
+            VerdictKind::Drop => EventVerdict::Deny,
+            VerdictKind::Accept => EventVerdict::Allow,
+            VerdictKind::DefaultAllow => EventVerdict::DefaultAllow,
+        }
+    }
 }
 
 /// One memoized traversal outcome.

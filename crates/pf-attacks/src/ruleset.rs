@@ -130,8 +130,10 @@ mod tests {
         assert_eq!(k.firewall.rule_count(), FULL_RULE_COUNT);
         // Nearly all rules are entrypoint-bound, so the EPTSPC partition
         // leaves only a small generic prefix.
-        assert!(k.firewall.base().entrypoint_chain_count() > 1000);
-        assert!(k.firewall.base().input_generic().len() < 10);
+        let base = k.firewall.base();
+        let eptspc = base.input_ept_dispatch();
+        assert!(eptspc.bucket_count() > 1000);
+        assert!(eptspc.wildcard_len() < 10);
     }
 
     #[test]
