@@ -15,10 +15,14 @@
 //!
 //! Rule compilation also performs the **static cacheability analysis**
 //! backing the VCACHE verdict cache: each rule carries purity flags
-//! (computed in `rule.rs` from its modules and target), and
-//! [`RuleBase::statically_cacheable`] summarizes whether every rule
-//! reachable from the built-in chains is key-determined and
-//! side-effect free.
+//! (computed in `rule.rs` from its modules and target), and one walk of
+//! the jump graph summarizes whether every rule reachable from the
+//! built-in chains is key-determined and side-effect free
+//! ([`RuleBase::statically_cacheable`]; when not, the engine bypasses
+//! the cache for the whole snapshot) and whether any of them reads the
+//! resource identifier ([`RuleBase::keys_resource`]; when not, the
+//! verdict key leaves the resource out, so every object of one label
+//! class shares an entry).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -77,12 +81,19 @@ impl ChainName {
 #[derive(Debug, Clone)]
 pub struct RuleBase {
     chains: BTreeMap<ChainName, Vec<Rule>>,
+    /// Total rules across all chains, recorded at compile time so the
+    /// hook path's emptiness test is one load, not a walk of `chains`.
+    rule_count: usize,
     /// Static cacheability summary: `true` when every rule reachable
     /// from the built-in chains (following `-j` jumps) is pure for the
-    /// verdict cache. Conservative and advisory — the engine also
-    /// tracks purity per walk, so a mixed base still caches the walks
-    /// that avoid its impure rules.
+    /// verdict cache. When `false` the engine bypasses the cache for
+    /// every invocation on this snapshot.
     statically_cacheable: bool,
+    /// Whether some rule reachable from the built-in chains reads the
+    /// resource identifier (`-r`, or `C_INO` in `-m COMPARE`), so the
+    /// verdict key must carry it. Computed in the same jump-graph walk
+    /// as `statically_cacheable`.
+    keys_resource: bool,
     /// Chain-level `--ctx-missing` defaults (`pftables -P chain
     /// --ctx-missing ...`), consulted when a rule has no override.
     ctx_defaults: BTreeMap<ChainName, CtxPolicy>,
@@ -108,7 +119,9 @@ impl Default for RuleBase {
     fn default() -> Self {
         RuleBase {
             chains: BTreeMap::new(),
+            rule_count: 0,
             statically_cacheable: true,
+            keys_resource: false,
             ctx_defaults: BTreeMap::new(),
             input_dispatch: CompiledDispatch::default(),
             input_ept_dispatch: CompiledDispatch::default(),
@@ -216,14 +229,16 @@ impl RuleBase {
         self.chains.get(chain).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Total rules across all chains.
+    /// Total rules across all chains, as of the last compile (a batch
+    /// edit's draft compiles once, at publication).
     pub fn len(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
+        self.rule_count
     }
 
-    /// Returns `true` when no rules are installed.
+    /// Returns `true` when no rules are installed (as of the last
+    /// compile, like [`Self::len`]).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rule_count == 0
     }
 
     /// Iterates over `(chain, rules)` pairs.
@@ -300,10 +315,11 @@ impl RuleBase {
     }
 
     /// Snapshot compile step, run on every rule-base mutation: rebuilds
-    /// the input chain's two dispatch tables and the static
-    /// cacheability summary.
+    /// the input chain's two dispatch tables, the rule count and the
+    /// static cacheability summary.
     fn recompile(&mut self) {
-        self.statically_cacheable = self.compute_statically_cacheable();
+        self.rule_count = self.chains.values().map(Vec::len).sum();
+        (self.statically_cacheable, self.keys_resource) = self.vcache_summary();
         let input = self.chain(&ChainName::Input);
         let tables = (
             CompiledDispatch::compile(input),
@@ -312,36 +328,49 @@ impl RuleBase {
         (self.input_dispatch, self.input_ept_dispatch) = tables;
     }
 
-    /// Walks the jump graph from the built-in chains and reports whether
-    /// every reachable rule is pure for the verdict cache.
-    fn compute_statically_cacheable(&self) -> bool {
+    /// Walks the jump graph from the built-in chains and reports
+    /// `(statically_cacheable, keys_resource)`: whether every reachable
+    /// rule is pure for the verdict cache, and whether any reads the
+    /// resource identifier. The second answer only matters when the
+    /// first is `true`, so an impure rule ends the walk.
+    fn vcache_summary(&self) -> (bool, bool) {
         let mut pending = vec![ChainName::Input, ChainName::SyscallBegin];
         let mut visited: Vec<ChainName> = Vec::new();
+        let mut keys_resource = false;
         while let Some(chain) = pending.pop() {
             if visited.contains(&chain) {
                 continue;
             }
             for rule in self.chain(&chain) {
                 if !rule.vc_pure() {
-                    return false;
+                    return (false, false);
                 }
+                keys_resource |= rule.reads_resource();
                 if let Target::Jump(name) = &rule.target {
                     pending.push(ChainName::parse(name));
                 }
             }
             visited.push(chain);
         }
-        true
+        (true, keys_resource)
     }
 
     /// Whether every rule reachable from the built-in chains is pure for
     /// the verdict cache (no STATE/signal/syscall-arg/owner/interpreter
-    /// matchers, no STATE/LOG/TRACE targets). When `true`, every
-    /// non-degraded traversal outcome is cache-eligible; when `false`,
-    /// the engine's per-walk tracking still caches the traversals that
-    /// avoid the impure rules.
+    /// matchers, no STATE/LOG/TRACE/throttle targets). When `true`,
+    /// every non-degraded traversal outcome is cache-eligible; when
+    /// `false`, the engine bypasses the cache for the whole snapshot,
+    /// including the walks that would have avoided the impure rules.
     pub fn statically_cacheable(&self) -> bool {
         self.statically_cacheable
+    }
+
+    /// Whether the verdict key carries the resource identifier: `true`
+    /// when some reachable rule reads it (`-r`, or `C_INO` in
+    /// `-m COMPARE`). When `false`, objects of one label class share a
+    /// cache entry.
+    pub fn keys_resource(&self) -> bool {
+        self.keys_resource
     }
 
     /// The compiled RULESETC dispatch table for the input chain.
@@ -475,6 +504,59 @@ mod tests {
         // Deleting the jump restores the summary.
         rb.delete(&ChainName::Input, "jump").unwrap();
         assert!(rb.statically_cacheable());
+    }
+
+    #[test]
+    fn keys_resource_follows_jump_reachability() {
+        use crate::context::CtxField;
+        use crate::rule::MatchModule;
+        use crate::value::ValueExpr;
+
+        let mut rb = RuleBase::new();
+        rb.add(ChainName::Input, rule("label-only", Some((1, 0x10))), false);
+        assert!(rb.statically_cacheable() && !rb.keys_resource());
+
+        // A `-r` rule in an unreachable user chain does not count…
+        let by_resource = Rule::new(
+            DefaultMatches {
+                resource: Some(7),
+                ..Default::default()
+            },
+            vec![],
+            Target::Drop,
+            "r".to_owned(),
+        );
+        rb.add(ChainName::User("island".into()), by_resource, false);
+        assert!(!rb.keys_resource());
+
+        // …until a jump from input makes it reachable…
+        let jump = Rule::new(
+            DefaultMatches::default(),
+            vec![],
+            Target::Jump("island".into()),
+            "jump".to_owned(),
+        );
+        rb.add(ChainName::Input, jump, false);
+        assert!(rb.statically_cacheable() && rb.keys_resource());
+
+        // …and deleting the jump restores per-class keying.
+        rb.delete(&ChainName::Input, "jump").unwrap();
+        assert!(!rb.keys_resource());
+
+        // `C_INO` in a COMPARE reads the resource as well.
+        let compare = Rule::new(
+            DefaultMatches::default(),
+            vec![MatchModule::Compare {
+                v1: ValueExpr::Lit(7),
+                v2: ValueExpr::Ctx(CtxField::ResourceId),
+                negate: false,
+            }],
+            Target::Drop,
+            "cmp".to_owned(),
+        );
+        rb.add(ChainName::Input, compare, false);
+        assert!(rb.statically_cacheable() && rb.keys_resource());
+        assert_eq!(rb.len(), 3);
     }
 
     #[test]

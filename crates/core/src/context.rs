@@ -122,6 +122,11 @@ const CACHE_EPT_PROG: u8 = 0;
 const CACHE_EPT_PC: u8 = 1;
 const CACHE_EPT_MISSING: u8 = 2;
 
+/// Number of per-syscall cache slots the engine uses (ids
+/// `0..CONCACHE_SLOTS`), so a substrate can keep the cache in a fixed
+/// array the way the paper's prototype keeps it in `task_struct`.
+pub const CONCACHE_SLOTS: usize = 3;
+
 /// The operation "packet": lazily-materialized context for one firewall
 /// invocation.
 ///

@@ -735,11 +735,12 @@ impl ProcessFirewall {
         let mut cache_ctx = None;
         if let Some(vc) = cache {
             if config.verdict_cache && !snap.is_empty() {
-                // Adversary-model soundness: a taint widening (or a
-                // policy edit) changes the `C_ADV_WRITE`/`C_ADV_READ`
-                // answers for cached keys that don't themselves change,
-                // so a stale generation discards the whole cache before
-                // any lookup can replay a pre-widening verdict.
+                // Adversary-model soundness: keys carry the object label,
+                // not the `C_ADV_WRITE`/`C_ADV_READ` answers it stands
+                // for. A taint widening (or a policy edit) changes those
+                // answers without moving any key, so a stale generation
+                // discards the whole cache before any lookup can replay
+                // a pre-widening verdict.
                 if vc.validate_adv_generation(adv_gen) {
                     self.metrics.bump_origin_vcache_invalidation();
                 }
@@ -752,7 +753,7 @@ impl ProcessFirewall {
                     self.metrics.bump_vcache_uncacheable(op);
                     vc_outcome = VcacheOutcome::Uncacheable;
                 } else {
-                    match VerdictKey::build(&mut pkt, op, &self.metrics) {
+                    match VerdictKey::build(&mut pkt, op, snap.keys_resource(), &self.metrics) {
                         Some(key) => {
                             if let Some(entry) = vc.lookup(&key) {
                                 self.metrics.bump_vcache_hit(op);
@@ -767,10 +768,19 @@ impl ProcessFirewall {
                                     VerdictKind::DefaultAllow => self.metrics.bump_default_allows(),
                                 }
                                 let decision = entry.decision.clone();
-                                if let Some(log) = &entry.log {
-                                    let mut log = log.clone();
-                                    log.ts = pkt.env_ref().now();
-                                    self.logs.push(log);
+                                // A cacheable walk logs only its DROP line
+                                // (LOG targets block caching, CTXFAIL
+                                // implies degraded). Render it from this
+                                // invocation: the entry may have been
+                                // filled by another object of the class.
+                                if entry.kind == VerdictKind::Drop {
+                                    self.logs.push(log_entry(
+                                        &mut pkt,
+                                        op,
+                                        "DROP",
+                                        "DENY",
+                                        &self.metrics,
+                                    ));
                                 }
                                 self.metrics.observe_eval(t0);
                                 let rk = event_rule_key(event_id, &decision, 0);
@@ -859,20 +869,11 @@ impl ProcessFirewall {
             } else {
                 self.metrics.bump_vcache_miss(op);
                 vc_outcome = VcacheOutcome::Miss;
-                // A cacheable deny emitted exactly one log record (the
-                // DROP line: LOG targets block caching, CTXFAIL implies
-                // degraded); store it for replay so cached denials stay
-                // in the audit stream.
-                let log = match kind {
-                    VerdictKind::Drop => scratch.first().cloned(),
-                    _ => None,
-                };
                 vc.insert(
                     key,
                     CacheEntry {
                         decision: decision.clone(),
                         kind,
-                        log,
                     },
                 );
             }
@@ -1568,30 +1569,43 @@ impl<'a> Invocation<'a> {
     }
 
     fn emit_log(&mut self, pkt: &mut Packet<'_>, op: LsmOperation, tag: &str, verdict: &str) {
-        let ept = pkt.entrypoint_value(self.metrics).ok();
-        let adv_write = pkt.adv_write_value(self.metrics).ok().unwrap_or(false);
-        let adv_read = pkt.adv_read_value(self.metrics).ok().unwrap_or(false);
-        let env = pkt.env_ref();
-        let mac = env.mac();
-        let object = env.object();
-        let entry = LogEntry {
-            ts: env.now(),
-            pid: env.pid().0,
-            subject: mac.label_name(env.subject_sid()).to_owned(),
-            program: env.program_name(env.program()),
-            ept_prog: ept.map(|(p, _)| env.program_name(p)).unwrap_or_default(),
-            ept_pc: ept.map(|(_, pc)| pc).unwrap_or(0),
-            op,
-            object: object
-                .map(|o| mac.label_name(o.sid).to_owned())
-                .unwrap_or_default(),
-            resource: object.map(|o| o.resource.to_string()).unwrap_or_default(),
-            adv_write,
-            adv_read,
-            tag: tag.to_owned(),
-            verdict: verdict.to_owned(),
-        };
+        let entry = log_entry(pkt, op, tag, verdict, self.metrics);
         self.logs.push(entry);
+    }
+}
+
+/// Renders the LOG record for the invocation `pkt` carries. Shared by
+/// the walk's LOG/DROP targets and the VCACHE hit path, so a cached
+/// denial's record names its own access (entrypoint, object, resource).
+fn log_entry(
+    pkt: &mut Packet<'_>,
+    op: LsmOperation,
+    tag: &str,
+    verdict: &str,
+    metrics: &Metrics,
+) -> LogEntry {
+    let ept = pkt.entrypoint_value(metrics).ok();
+    let adv_write = pkt.adv_write_value(metrics).ok().unwrap_or(false);
+    let adv_read = pkt.adv_read_value(metrics).ok().unwrap_or(false);
+    let env = pkt.env_ref();
+    let mac = env.mac();
+    let object = env.object();
+    LogEntry {
+        ts: env.now(),
+        pid: env.pid().0,
+        subject: mac.label_name(env.subject_sid()).to_owned(),
+        program: env.program_name(env.program()),
+        ept_prog: ept.map(|(p, _)| env.program_name(p)).unwrap_or_default(),
+        ept_pc: ept.map(|(_, pc)| pc).unwrap_or(0),
+        op,
+        object: object
+            .map(|o| mac.label_name(o.sid).to_owned())
+            .unwrap_or_default(),
+        resource: object.map(|o| o.resource.to_string()).unwrap_or_default(),
+        adv_write,
+        adv_read,
+        tag: tag.to_owned(),
+        verdict: verdict.to_owned(),
     }
 }
 
@@ -2983,7 +2997,8 @@ mod tests {
             rules_after_miss,
             "a hit walks no rules"
         );
-        // The deny log is replayed on the hit: both invocations audited.
+        // The hit renders the deny log from the live invocation: both
+        // invocations are audited.
         let logs = pf.take_logs();
         assert_eq!(logs.len(), 2);
         assert!(logs.iter().all(|e| e.verdict == "DENY" && e.tag == "DROP"));

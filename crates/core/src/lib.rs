@@ -100,7 +100,7 @@ pub mod vcache;
 pub use chain::{ChainName, RuleBase};
 pub use compile::{CompiledDispatch, MergeDispatch};
 pub use config::{OptLevel, PfConfig};
-pub use context::CtxField;
+pub use context::{CtxField, CONCACHE_SLOTS};
 pub use engine::{EvalDecision, ProcessFirewall, ThrottleOccupancy};
 pub use env::{CtxError, EvalEnv, Fetched, ObjectInfo, SignalInfo};
 pub use events::{

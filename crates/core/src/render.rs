@@ -6,8 +6,11 @@ use crate::chain::ChainName;
 use crate::engine::ProcessFirewall;
 
 /// Renders the installed rule base: one section per chain, one line per
-/// rule with its evaluated and hit counters, followed by the
-/// entrypoint-chain summary.
+/// rule with its evaluated and hit counters, followed by a summary of
+/// the entrypoint chains and of how the verdict cache treats the
+/// snapshot: `off` when an impure rule is reachable (every invocation
+/// bypasses it), keyed per object when a rule reads the resource, or
+/// keyed per label class.
 ///
 /// The `evals` column comes from the metrics registry's per-rule
 /// counters and stays zero unless detailed metrics are enabled
@@ -59,9 +62,16 @@ pub fn render_rules(pf: &ProcessFirewall) -> String {
     }
     let base = pf.base();
     let eptspc = base.input_ept_dispatch();
+    let vcache = if !base.statically_cacheable() {
+        "off (an impure rule is reachable)"
+    } else if base.keys_resource() {
+        "keyed per object (a rule reads C_INO)"
+    } else {
+        "keyed per label class"
+    };
     let _ = writeln!(
         out,
-        "{} rules total; {} entrypoint-specific chains; {} generic input rules",
+        "{} rules total; {} entrypoint-specific chains; {} generic input rules; VCACHE {vcache}",
         pf.rule_count(),
         eptspc.bucket_count(),
         eptspc.wildcard_len()
@@ -95,5 +105,27 @@ mod tests {
         assert!(listing.contains("chain signal_chain"));
         assert!(listing.contains("3 rules total"));
         assert!(listing.contains("1 entrypoint-specific chains"));
+    }
+
+    #[test]
+    fn summary_states_the_vcache_mode() {
+        let mut mac = pf_mac::ubuntu_mini();
+        let mut programs = Interner::new();
+        let pf = ProcessFirewall::new(OptLevel::Vcache);
+        let mut add = |line: &str| {
+            pf.install(line, &mut mac, &mut programs).unwrap();
+            render_rules(&pf)
+        };
+        // The SIGNAL_MATCH rule is impure, but nothing jumps to it.
+        add("pftables -I signal_chain -m SIGNAL_MATCH -j DROP");
+        let listing = add("pftables -o FILE_OPEN -d etc_t -j DROP");
+        assert!(
+            listing.contains("; VCACHE keyed per label class\n"),
+            "{listing}"
+        );
+        let listing = add("pftables -o FILE_OPEN -m COMPARE --v1 C_INO --v2 7 -j ACCEPT");
+        assert!(listing.contains("; VCACHE keyed per object (a rule reads C_INO)\n"));
+        let listing = add("pftables -o FILE_OPEN -d tmp_t -j LOG --tag t");
+        assert!(listing.contains("; VCACHE off (an impure rule is reachable)\n"));
     }
 }

@@ -397,6 +397,19 @@ impl Rule {
         !self.vc_impure_match && !self.vc_impure_target
     }
 
+    /// Whether this rule reads the resource identifier through a pure
+    /// selector: `-r`, or `C_INO` in a `-m COMPARE`. The verdict-cache
+    /// key carries the resource only when a reachable rule does (see
+    /// `RuleBase::keys_resource`); impure readers such as `-m STATE`
+    /// already keep the whole base out of the cache.
+    pub(crate) fn reads_resource(&self) -> bool {
+        let ino = ValueExpr::Ctx(CtxField::ResourceId);
+        self.def.resource.is_some()
+            || self.matches.iter().any(
+                |m| matches!(m, MatchModule::Compare { v1, v2, .. } if *v1 == ino || *v2 == ino),
+            )
+    }
+
     /// Returns `true` if the rule can live in an entrypoint-specific
     /// chain.
     pub fn has_entrypoint(&self) -> bool {
@@ -413,9 +426,11 @@ impl Rule {
     }
 }
 
-/// Whether a value expression reads only context that is part of the
-/// verdict-cache key (so two invocations with equal keys resolve it to
-/// equal values).
+/// Whether a value expression reads only context that equal
+/// verdict-cache keys resolve to equal values: the key fields, the
+/// adversary bits (a function of the object label within one adversary
+/// generation, and the cache is flushed when that moves), and the
+/// resource id (keyed whenever a reachable rule reads it).
 fn value_is_key_determined(v: &ValueExpr) -> bool {
     match v {
         ValueExpr::Lit(_) => true,
@@ -447,8 +462,8 @@ fn module_is_vc_impure(m: &MatchModule) -> bool {
         MatchModule::Compare { v1, v2, .. } => {
             !value_is_key_determined(v1) || !value_is_key_determined(v2)
         }
-        // Adversary accessibility and the main-program binary are part
-        // of the key.
+        // Adversary accessibility follows the keyed label (within one
+        // adversary generation); the main-program binary is keyed.
         MatchModule::AdvAccess { .. } | MatchModule::Caller { .. } => false,
     }
 }

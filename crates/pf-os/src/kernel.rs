@@ -4,7 +4,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use pf_core::{EvalEnv, FaultInjector, FaultyEnv, ObjectInfo, ProcessFirewall, SignalInfo};
+use pf_core::{
+    EvalEnv, FaultInjector, FaultyEnv, ObjectInfo, ProcessFirewall, SignalInfo, CONCACHE_SLOTS,
+};
 use pf_mac::{Access, MacPolicy};
 use pf_types::{
     Gid, Interner, LsmOperation, PfError, PfResult, Pid, ProgramId, ResourceId, SecId, SyscallNr,
@@ -475,7 +477,7 @@ impl Kernel {
         if task.exited {
             return Err(PfError::NoSuchProcess(pid.0));
         }
-        task.pf_cache.clear();
+        task.pf_cache = [None; CONCACHE_SLOTS];
         task.syscall = (nr, [nr.as_u64(), 0, 0, 0]);
         task.record_syscall(nr);
         self.hook(pid, LsmOperation::SyscallBegin, None, None, None)
@@ -817,11 +819,14 @@ impl EvalEnv for KernelEnv<'_> {
     }
 
     fn cache_get(&self, slot: u8) -> Option<u64> {
-        self.task.pf_cache.get(&slot).copied()
+        self.task.pf_cache.get(usize::from(slot)).copied().flatten()
     }
 
+    // Out-of-range slots are ignored: their reads stay `None`.
     fn cache_put(&mut self, slot: u8, value: u64) {
-        self.task.pf_cache.insert(slot, value);
+        if let Some(cell) = self.task.pf_cache.get_mut(usize::from(slot)) {
+            *cell = Some(value);
+        }
     }
 
     fn now(&self) -> u64 {

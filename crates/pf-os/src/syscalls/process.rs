@@ -1,5 +1,6 @@
 //! Process-lifecycle syscalls.
 
+use pf_core::CONCACHE_SLOTS;
 use pf_types::{LsmOperation, PfError, PfResult, Pid, SyscallNr, Uid};
 use pf_vfs::{AccessKind, ResolveOpts};
 
@@ -20,7 +21,7 @@ impl Kernel {
         let mut child = self.task(parent)?.clone();
         child.pid = child_pid;
         child.ppid = parent;
-        child.pf_cache.clear();
+        child.pf_cache = [None; CONCACHE_SLOTS];
         for file in child.fds.values() {
             self.vfs.open_ref(file.obj)?;
         }

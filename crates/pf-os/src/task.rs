@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use pf_core::TaskSession;
+use pf_core::{TaskSession, CONCACHE_SLOTS};
 use pf_types::{Fd, Gid, Pid, ProgramId, SecId, SignalNum, SyscallNr, Uid};
 use pf_vfs::ObjRef;
 
@@ -95,8 +95,9 @@ pub struct Task {
     /// extension of Section 5.2).
     pub pf_state: HashMap<u64, u64>,
     /// The firewall's per-syscall context cache (cleared at syscall
-    /// entry; the CONCACHE optimization).
-    pub pf_cache: HashMap<u8, u64>,
+    /// entry; the CONCACHE optimization), one fixed slot per cache id
+    /// like the prototype's `task_struct` field.
+    pub pf_cache: [Option<u64>; CONCACHE_SLOTS],
     /// The task's firewall session: the pinned ruleset snapshot and
     /// per-invocation scratch. Owning it here gives each simulated
     /// process its own lock-free path into the shared firewall.
@@ -143,7 +144,7 @@ impl Task {
             blocked: HashSet::new(),
             in_handler: 0,
             pf_state: HashMap::new(),
-            pf_cache: HashMap::new(),
+            pf_cache: [None; CONCACHE_SLOTS],
             pf_session: TaskSession::new(),
             syscall: (SyscallNr::Null, [0; 4]),
             syscall_trace: VecDeque::with_capacity(SYSCALL_TRACE_LEN),

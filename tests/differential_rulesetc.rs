@@ -2,10 +2,10 @@
 //!
 //! RULESETC must be *transparent*: for any ruleset and access trace,
 //! FULL ≡ EPTSPC ≡ VCACHE ≡ RULESETC on every verdict, on LOG streams
-//! (timestamps excepted for the caching levels, whose cached-DROP
-//! replays refresh `ts`), on final STATE dictionaries, and on the
-//! drop/invocation counters. The seeded generator here spans every
-//! selector family (`-s`/`-d`/`-p -i`/`-o`/`-r`/`--ctx-missing`/`-m`)
+//! (`ts` masked for the caching levels, whose cached DROPs render their
+//! record from the live invocation), on final STATE dictionaries, and
+//! on the drop/invocation counters. The seeded generator here spans
+//! every selector family (`-s`/`-d`/`-p -i`/`-o`/`-r`/`--ctx-missing`/`-m`)
 //! and every target family (ACCEPT, DROP, RETURN, LOG, TRACE, STATE,
 //! RATELIMIT, QUOTA, user-chain jumps three levels deep), and each run
 //! drives the trace through a mid-trace hot reload (artifact rebuild +
@@ -249,7 +249,7 @@ fn run_trace(level: OptLevel, seed: u64, stateful: bool, faults: Option<FaultCon
 }
 
 /// Timestamp-free view of a log stream, for comparing the caching
-/// levels (a cached-DROP replay refreshes `ts` but nothing else).
+/// levels.
 fn strip_ts(logs: &[LogEntry]) -> Vec<LogEntry> {
     logs.iter()
         .map(|l| LogEntry { ts: 0, ..l.clone() })
