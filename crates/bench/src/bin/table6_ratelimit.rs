@@ -21,6 +21,7 @@
 //! and the granted path performs zero heap allocations.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use pf_bench::alloc::{allocations, CountingAlloc};
 use pf_core::{EvalEnv, ObjectInfo, OptLevel, ProcessFirewall, SignalInfo};
@@ -107,8 +108,8 @@ impl EvalEnv for Env {
     fn mac(&self) -> &MacPolicy {
         &self.mac
     }
-    fn program_name(&self, id: ProgramId) -> String {
-        self.programs.resolve(id).to_owned()
+    fn program_name(&self, id: ProgramId) -> Arc<str> {
+        self.programs.resolve_shared(id)
     }
     fn state_get(&self, _key: u64) -> Option<u64> {
         None

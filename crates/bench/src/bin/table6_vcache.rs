@@ -23,6 +23,7 @@
 //! is at least 20% faster per invocation than EPTSPC on the hit path.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use pf_bench::alloc::{allocations, CountingAlloc};
 use pf_core::{EvalEnv, ObjectInfo, OptLevel, ProcessFirewall, SignalInfo, TaskSession};
@@ -107,8 +108,8 @@ impl EvalEnv for Env {
     fn mac(&self) -> &MacPolicy {
         &self.mac
     }
-    fn program_name(&self, id: ProgramId) -> String {
-        self.programs.resolve(id).to_owned()
+    fn program_name(&self, id: ProgramId) -> Arc<str> {
+        self.programs.resolve_shared(id)
     }
     fn state_get(&self, _key: u64) -> Option<u64> {
         None

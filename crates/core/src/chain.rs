@@ -41,8 +41,10 @@ pub enum ChainName {
     Output,
     /// Built-in: evaluated at the start of every system call (rule R12).
     SyscallBegin,
-    /// A user-defined chain reachable via `-j NAME`.
-    User(String),
+    /// A user-defined chain reachable via `-j NAME`. The name is
+    /// shared, so a TRACE hop or counter key naming the chain is a
+    /// reference-count bump rather than a copy.
+    User(Arc<str>),
 }
 
 impl ChainName {
@@ -52,7 +54,7 @@ impl ChainName {
             "input" => ChainName::Input,
             "output" => ChainName::Output,
             "syscallbegin" => ChainName::SyscallBegin,
-            other => ChainName::User(other.to_owned()),
+            other => ChainName::User(other.into()),
         }
     }
 
@@ -346,8 +348,8 @@ impl RuleBase {
                     return (false, false);
                 }
                 keys_resource |= rule.reads_resource();
-                if let Target::Jump(name) = &rule.target {
-                    pending.push(ChainName::parse(name));
+                if let Target::Jump(sub) = &rule.target {
+                    pending.push(sub.clone());
                 }
             }
             visited.push(chain);
@@ -495,7 +497,7 @@ mod tests {
         let jump = Rule::new(
             DefaultMatches::default(),
             vec![],
-            Target::Jump("island".into()),
+            Target::Jump(ChainName::User("island".into())),
             "jump".to_owned(),
         );
         rb.add(ChainName::Input, jump, false);
@@ -533,7 +535,7 @@ mod tests {
         let jump = Rule::new(
             DefaultMatches::default(),
             vec![],
-            Target::Jump("island".into()),
+            Target::Jump(ChainName::User("island".into())),
             "jump".to_owned(),
         );
         rb.add(ChainName::Input, jump, false);

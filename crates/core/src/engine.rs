@@ -31,7 +31,10 @@
 //! is a bounded overwrite-oldest ring ([`LogSink`]) with always-on
 //! `emitted == drained + dropped` accounting, so a fleet of tasks
 //! logging faster than the collector drains degrades to counted record
-//! loss instead of unbounded memory growth.
+//! loss instead of unbounded memory growth. LOG records and TRACE hops
+//! are captured as fixed records (ids, shared names, enum verdicts) and
+//! rendered to strings only when a collector drains them, so observation
+//! allocates nothing on the hook path.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -51,8 +54,8 @@ use crate::events::{
     VcacheOutcome,
 };
 use crate::lang::{parse_command, Command, RuleOp};
-use crate::log::{LogDrain, LogEntry, LogSink};
-use crate::metrics::{prom_label_esc, Metrics, TraceEvent};
+use crate::log::{LogDrain, LogEntry, LogRecord, LogSink, LogTag};
+use crate::metrics::{prom_label_esc, Metrics, TraceEvent, TraceHop};
 use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleSlotState};
 use crate::rule::{CtxPolicy, MatchModule, Rule, Target};
 use crate::snapshot::{RulesetDraft, RulesetSnapshot, SharedRuleset};
@@ -666,7 +669,7 @@ impl ProcessFirewall {
         // One-shot callers reuse a thread-local LOG buffer, so even the
         // sessionless hook path is allocation-free in the steady state.
         thread_local! {
-            static ONE_SHOT_SCRATCH: RefCell<Vec<LogEntry>> = const { RefCell::new(Vec::new()) };
+            static ONE_SHOT_SCRATCH: RefCell<Vec<LogRecord>> = const { RefCell::new(Vec::new()) };
         }
         let snap = self.shared.load();
         ONE_SHOT_SCRATCH.with(|cell| match cell.try_borrow_mut() {
@@ -684,7 +687,7 @@ impl ProcessFirewall {
         snap: &RulesetSnapshot,
         env: &mut dyn EvalEnv,
         op: LsmOperation,
-        scratch: &mut Vec<LogEntry>,
+        scratch: &mut Vec<LogRecord>,
     ) -> EvalDecision {
         self.evaluate_cached(snap, env, op, scratch, None, events::thread_shard())
     }
@@ -698,7 +701,7 @@ impl ProcessFirewall {
         snap: &RulesetSnapshot,
         env: &mut dyn EvalEnv,
         op: LsmOperation,
-        scratch: &mut Vec<LogEntry>,
+        scratch: &mut Vec<LogRecord>,
         cache: Option<&mut VerdictCache>,
         shard: usize,
     ) -> EvalDecision {
@@ -770,15 +773,15 @@ impl ProcessFirewall {
                                 let decision = entry.decision.clone();
                                 // A cacheable walk logs only its DROP line
                                 // (LOG targets block caching, CTXFAIL
-                                // implies degraded). Render it from this
+                                // implies degraded). Capture it from this
                                 // invocation: the entry may have been
                                 // filled by another object of the class.
                                 if entry.kind == VerdictKind::Drop {
-                                    self.logs.push(log_entry(
+                                    self.logs.push(log_record(
                                         &mut pkt,
                                         op,
-                                        "DROP",
-                                        "DENY",
+                                        LogTag::Static("DROP"),
+                                        Verdict::Deny,
                                         &self.metrics,
                                     ));
                                 }
@@ -856,10 +859,8 @@ impl ProcessFirewall {
             }
         }
         if decision.verdict == Verdict::Deny {
-            for entry in scratch.iter_mut() {
-                if entry.verdict != "DENY" {
-                    entry.verdict = "DENY".to_owned();
-                }
+            for record in scratch.iter_mut() {
+                record.verdict = Verdict::Deny;
             }
         }
         if let Some((vc, key)) = cache_ctx {
@@ -970,7 +971,7 @@ struct Invocation<'a> {
     snap: &'a RulesetSnapshot,
     config: PfConfig,
     metrics: &'a Metrics,
-    logs: &'a mut Vec<LogEntry>,
+    logs: &'a mut Vec<LogRecord>,
     /// Set as soon as any context fetch *fails* and a `--ctx-missing`
     /// policy has to decide; stamped onto the decision and every TRACE
     /// event emitted afterwards.
@@ -1169,15 +1170,14 @@ impl<'a> Invocation<'a> {
             // Once tracing is armed, every traversed rule (matched or
             // not) emits an event — including the TRACE rule itself.
             if let Some(clock) = pkt.trace_clock() {
-                self.metrics.push_trace(TraceEvent {
-                    chain: chain.name(),
+                self.metrics.push_trace(TraceHop {
+                    chain: chain.clone(),
                     rule_index: index,
                     matched: fired,
                     target: rule.target.kind_name(),
                     elapsed_ns: clock.elapsed().as_nanos() as u64,
                     degraded: self.degraded,
                     invocation: self.event_id,
-                    gap: false,
                 });
             }
             match eval {
@@ -1187,7 +1187,7 @@ impl<'a> Invocation<'a> {
                     // the governing policy is `drop`. The deny is
                     // attributed to this rule and flagged degraded.
                     self.metrics.bump_drops();
-                    self.emit_log(pkt, op, "CTXFAIL", "DENY");
+                    self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
                     return Some(self.deny(chain, index, true));
                 }
                 RuleEval::Match => {}
@@ -1201,7 +1201,7 @@ impl<'a> Invocation<'a> {
             match &rule.target {
                 Target::Drop => {
                     self.metrics.bump_drops();
-                    self.emit_log(pkt, op, "DROP", "DENY");
+                    self.emit_log(pkt, op, LogTag::Static("DROP"), Verdict::Deny);
                     return Some(self.deny(chain, index, self.degraded));
                 }
                 Target::Accept => {
@@ -1215,10 +1215,9 @@ impl<'a> Invocation<'a> {
                 }
                 Target::Continue => {}
                 Target::Return => return None,
-                Target::Jump(name) => {
+                Target::Jump(sub) => {
                     if depth < MAX_DEPTH {
-                        let sub = ChainName::parse(name);
-                        if let Some(d) = self.run_chain(&sub, pkt, op, depth + 1) {
+                        if let Some(d) = self.run_chain(sub, pkt, op, depth + 1) {
                             return Some(d);
                         }
                     } else {
@@ -1227,7 +1226,7 @@ impl<'a> Invocation<'a> {
                         // the traversal was complete.
                         self.metrics.bump_jump_depth_exceeded();
                         self.degraded = true;
-                        self.emit_log(pkt, op, "JUMPDEPTH", "ALLOW");
+                        self.emit_log(pkt, op, LogTag::Static("JUMPDEPTH"), Verdict::Allow);
                     }
                 }
                 Target::StateSet { key, value } => match self.resolve(*value, pkt) {
@@ -1239,7 +1238,9 @@ impl<'a> Invocation<'a> {
                     Fetched::Failed(_) => self.degraded = true,
                 },
                 Target::StateUnset { key } => pkt.env().state_unset(*key),
-                Target::Log { tag } => self.emit_log(pkt, op, tag, "ALLOW"),
+                Target::Log { tag } => {
+                    self.emit_log(pkt, op, LogTag::Rule(Arc::clone(tag)), Verdict::Allow);
+                }
                 Target::Trace => {}
                 Target::RateLimit { .. } | Target::Quota { .. } => {
                     if let Some(d) = self.run_throttle(rule, chain, index, pkt, op) {
@@ -1287,14 +1288,14 @@ impl<'a> Invocation<'a> {
                 return match self.on_ctx_failure(rule, chain) {
                     CtxPolicy::Drop => {
                         self.metrics.bump_drops();
-                        self.emit_log(pkt, op, "CTXFAIL", "DENY");
+                        self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
                         Some(self.deny(chain, index, true))
                     }
                     // Explicit opt-out (`--ctx-missing skip`): the rule
                     // stands aside, but never silently — the decision
                     // is already marked degraded and the lapse logged.
                     CtxPolicy::Skip => {
-                        self.emit_log(pkt, op, "CTXFAIL", "ALLOW");
+                        self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Allow);
                         None
                     }
                     // `match`: treat the unaccountable access as over
@@ -1338,7 +1339,7 @@ impl<'a> Invocation<'a> {
         op: LsmOperation,
         exceed: ExceedPolicy,
     ) -> Option<EvalDecision> {
-        let tag = rule.target.kind_name();
+        let tag = LogTag::Static(rule.target.kind_name());
         // Over budget (or unaccountable under `--ctx-missing match`):
         // record which flavour rejected, whatever the exceed policy.
         self.throttle = match &rule.target {
@@ -1348,16 +1349,16 @@ impl<'a> Invocation<'a> {
         match exceed {
             ExceedPolicy::Drop => {
                 self.metrics.bump_drops();
-                self.emit_log(pkt, op, tag, "DENY");
+                self.emit_log(pkt, op, tag, Verdict::Deny);
                 Some(self.deny(chain, index, self.degraded))
             }
             ExceedPolicy::Log => {
-                self.emit_log(pkt, op, tag, "ALLOW");
+                self.emit_log(pkt, op, tag, Verdict::Allow);
                 None
             }
             ExceedPolicy::Degrade => {
                 self.degraded = true;
-                self.emit_log(pkt, op, tag, "ALLOW");
+                self.emit_log(pkt, op, tag, Verdict::Allow);
                 None
             }
         }
@@ -1568,44 +1569,44 @@ impl<'a> Invocation<'a> {
         })
     }
 
-    fn emit_log(&mut self, pkt: &mut Packet<'_>, op: LsmOperation, tag: &str, verdict: &str) {
-        let entry = log_entry(pkt, op, tag, verdict, self.metrics);
-        self.logs.push(entry);
+    fn emit_log(&mut self, pkt: &mut Packet<'_>, op: LsmOperation, tag: LogTag, verdict: Verdict) {
+        let record = log_record(pkt, op, tag, verdict, self.metrics);
+        self.logs.push(record);
     }
 }
 
-/// Renders the LOG record for the invocation `pkt` carries. Shared by
+/// Captures the LOG record for the invocation `pkt` carries. Shared by
 /// the walk's LOG/DROP targets and the VCACHE hit path, so a cached
 /// denial's record names its own access (entrypoint, object, resource).
-fn log_entry(
+///
+/// Everything that could change before a collector drains is taken
+/// now — the adversary bits in particular depend on the adversary
+/// generation — and names are the interners' shared copies, so the
+/// capture allocates nothing; the sink renders the strings at drain.
+fn log_record(
     pkt: &mut Packet<'_>,
     op: LsmOperation,
-    tag: &str,
-    verdict: &str,
+    tag: LogTag,
+    verdict: Verdict,
     metrics: &Metrics,
-) -> LogEntry {
+) -> LogRecord {
     let ept = pkt.entrypoint_value(metrics).ok();
     let adv_write = pkt.adv_write_value(metrics).ok().unwrap_or(false);
     let adv_read = pkt.adv_read_value(metrics).ok().unwrap_or(false);
     let env = pkt.env_ref();
     let mac = env.mac();
-    let object = env.object();
-    LogEntry {
+    LogRecord {
         ts: env.now(),
         pid: env.pid().0,
-        subject: mac.label_name(env.subject_sid()).to_owned(),
+        subject: mac.label_shared(env.subject_sid()),
         program: env.program_name(env.program()),
-        ept_prog: ept.map(|(p, _)| env.program_name(p)).unwrap_or_default(),
-        ept_pc: ept.map(|(_, pc)| pc).unwrap_or(0),
+        ept: ept.map(|(p, pc)| (env.program_name(p), pc)),
         op,
-        object: object
-            .map(|o| mac.label_name(o.sid).to_owned())
-            .unwrap_or_default(),
-        resource: object.map(|o| o.resource.to_string()).unwrap_or_default(),
+        object: env.object().map(|o| (mac.label_shared(o.sid), o.resource)),
         adv_write,
         adv_read,
-        tag: tag.to_owned(),
-        verdict: verdict.to_owned(),
+        tag,
+        verdict,
     }
 }
 
@@ -1719,8 +1720,8 @@ mod tests {
         fn mac(&self) -> &MacPolicy {
             &self.mac
         }
-        fn program_name(&self, id: ProgramId) -> String {
-            self.programs.resolve(id).to_owned()
+        fn program_name(&self, id: ProgramId) -> Arc<str> {
+            self.programs.resolve_shared(id)
         }
         fn state_get(&self, key: u64) -> Option<u64> {
             self.state.get(&key).copied()
@@ -2069,6 +2070,66 @@ mod tests {
         assert!(logs[0].adv_write);
         assert_eq!(logs[0].tag, "trace");
         assert_eq!(pf.log_count(), 0, "take_logs drains");
+    }
+
+    /// A record holds what was true when the hook ran, whatever happens
+    /// between the hook and the drain: the adversary bits are captured,
+    /// not looked up again when the record is rendered.
+    #[test]
+    fn log_records_keep_hook_time_values_until_drained() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut env = MockEnv::new().with_object("var_log_t", 42, 0);
+        let lib = env.programs.intern("/lib/libc.so.6");
+        env.stack = Some((lib, 0x2d637));
+        install(&pf, &mut env, "pftables -o FILE_OPEN -j LOG --tag open");
+        install(&pf, &mut env, "pftables -o FILE_WRITE -j LOG --tag write");
+        install(&pf, &mut env, "pftables -o FILE_WRITE -d var_log_t -j DROP");
+        let var_log = env.mac.lookup_label("var_log_t").unwrap();
+        assert!(!env.mac.adversary_writable(var_log));
+        pf.evaluate(&mut env, LsmOperation::FileOpen);
+        // Taint a subject that may write var_log_t: the label turns
+        // adversary-writable before the first record is drained.
+        let sshd = env.mac.lookup_label("sshd_t").unwrap();
+        assert!(env.mac.taint_subject(sshd));
+        assert!(env.mac.adversary_writable(var_log));
+        pf.evaluate(&mut env, LsmOperation::FileOpen);
+        let d = pf.evaluate(&mut env, LsmOperation::FileWrite);
+        assert_eq!(d.verdict, Verdict::Deny);
+
+        let logs = pf.take_logs();
+        assert_eq!(
+            logs.len(),
+            4,
+            "two opens, the write, and the DROP's own record"
+        );
+        let before = &logs[0];
+        assert!(!before.adv_write, "captured before the widening");
+        assert_eq!(before.subject, "httpd_t");
+        assert_eq!(before.object, "var_log_t");
+        assert_eq!(before.resource, "dev:0/ino:42");
+        assert_eq!(before.program, "/usr/bin/apache2");
+        assert_eq!(
+            (before.ept_prog.as_str(), before.ept_pc),
+            ("/lib/libc.so.6", 0x2d637)
+        );
+        assert_eq!(
+            (before.tag.as_str(), before.verdict.as_str()),
+            ("open", "ALLOW")
+        );
+        assert!(logs[1].adv_write, "captured after the widening");
+        assert_eq!(
+            (logs[1].tag.as_str(), logs[1].verdict.as_str()),
+            ("open", "ALLOW")
+        );
+        // The later DROP patches the same invocation's LOG record.
+        assert_eq!(
+            (logs[2].tag.as_str(), logs[2].verdict.as_str()),
+            ("write", "DENY")
+        );
+        assert_eq!(
+            (logs[3].tag.as_str(), logs[3].verdict.as_str()),
+            ("DROP", "DENY")
+        );
     }
 
     #[test]

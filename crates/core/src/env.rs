@@ -7,6 +7,8 @@
 //! Everything the rule language can match flows through this trait, which
 //! keeps `pf-core` independent of the substrate's data structures.
 
+use std::sync::Arc;
+
 use pf_mac::MacPolicy;
 use pf_types::{Gid, Mode, Pid, ProgramId, ResourceId, SecId, SignalNum, Uid};
 
@@ -191,8 +193,15 @@ pub trait EvalEnv {
     /// The MAC policy (for adversary accessibility and label names).
     fn mac(&self) -> &MacPolicy;
 
-    /// Resolves a program id to its path for logging.
-    fn program_name(&self, id: ProgramId) -> String;
+    /// Resolves a program id to its path for a LOG record.
+    ///
+    /// LOG capture calls this on the hook path and keeps the handle
+    /// until a collector drains the record, so an interner-backed
+    /// substrate should return its shared copy
+    /// ([`pf_types::Interner::resolve_shared`]): a reference-count bump,
+    /// no allocation. The string must keep naming `id` after the hook
+    /// returns, which an append-only interner guarantees.
+    fn program_name(&self, id: ProgramId) -> Arc<str>;
 
     /// Reads a per-process STATE-dictionary entry.
     fn state_get(&self, key: u64) -> Option<u64>;

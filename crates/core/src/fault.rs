@@ -19,6 +19,7 @@
 //! aggregate fault *rate* holds regardless.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use pf_mac::MacPolicy;
 use pf_types::{Pid, ProgramId, SecId, Uid};
@@ -284,7 +285,7 @@ impl EvalEnv for FaultyEnv<'_> {
         self.inner.mac()
     }
 
-    fn program_name(&self, id: ProgramId) -> String {
+    fn program_name(&self, id: ProgramId) -> Arc<str> {
         self.inner.program_name(id)
     }
 

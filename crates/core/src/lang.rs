@@ -531,7 +531,7 @@ fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
                     _ => break,
                 }
             }
-            Ok(Target::Log { tag })
+            Ok(Target::Log { tag: tag.into() })
         }
         "STATE" => {
             let mut set = false;
@@ -651,8 +651,9 @@ fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
                 exceed,
             })
         }
-        // Any other name jumps to a user chain (e.g. `-j SIGNAL_CHAIN`).
-        other => Ok(Target::Jump(other.to_ascii_lowercase())),
+        // Any other name jumps to a user chain (e.g. `-j SIGNAL_CHAIN`),
+        // parsed here so the walk never re-parses it.
+        other => Ok(Target::Jump(ChainName::parse(other))),
     }
 }
 
@@ -766,8 +767,8 @@ pub fn render_rule(rule: &Rule, chain: &ChainName, mac: &MacPolicy, programs: &I
         Target::Continue => out.push_str(" -j CONTINUE"),
         Target::Return => out.push_str(" -j RETURN"),
         Target::Trace => out.push_str(" -j TRACE"),
-        Target::Jump(name) => {
-            let _ = write!(out, " -j {name}");
+        Target::Jump(chain) => {
+            let _ = write!(out, " -j {}", chain.as_str());
         }
         Target::StateSet { key, value } => {
             let _ = write!(out, " -j STATE --set --key 0x{key:x} --value {value}");
@@ -909,7 +910,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r9.op, RuleOp::InsertHead(ChainName::Input));
-        assert_eq!(r9.rule.target, Target::Jump("signal_chain".into()));
+        assert_eq!(
+            r9.rule.target,
+            Target::Jump(ChainName::User("signal_chain".into()))
+        );
+        // The pre-parsed target renders as the lowercased name it had.
+        let text = render_rule(&r9.rule, &ChainName::Input, &mac, &progs);
+        assert!(text.ends_with(" -j signal_chain"), "{text}");
 
         let r10 = parse_rule(
             "pftables -I signal_chain -m SIGNAL_MATCH -m STATE --key 'sig' --cmp 1 -j DROP",

@@ -90,6 +90,7 @@ pub mod log;
 pub mod metrics;
 pub mod ratelimit;
 pub mod render;
+pub mod ring;
 pub mod rule;
 pub mod session;
 pub mod snapshot;

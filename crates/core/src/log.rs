@@ -6,20 +6,23 @@
 //! codec here is hand-rolled (flat objects, string/number/bool values) to
 //! keep the dependency set at the sanctioned crates.
 //!
-//! [`LogSink`] is the firewall-wide buffer those records land in. It is
-//! **bounded**: once the ring is at capacity the oldest record is
-//! overwritten (and counted), so a fleet of tasks emitting faster than
-//! the collector drains can never grow the firewall's memory without
-//! limit. The accounting discipline mirrors the decision-event plane
-//! (`crate::events`): `emitted() == drained() + dropped()` holds exactly
+//! The hook does not render anything. It captures a [`LogRecord`]: the
+//! fixed-size fields, the label and program names as handles shared with
+//! the interners that own them, the resource id, the tag and an enum
+//! verdict — everything that could change before a collector drains.
+//! [`LogSink`], the firewall-wide bounded buffer, renders the public
+//! [`LogEntry`] strings when it is drained, after its lock is released,
+//! so the string work lands on the collector instead of the hook. The
+//! sink is a [`BoundedRing`]: once full, the oldest record is overwritten
+//! and counted, and `emitted() == drained() + dropped()` holds exactly
 //! once the sink is quiescent and fully drained.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
-use pf_types::{LsmOperation, PfError, PfResult};
+use pf_types::{LsmOperation, PfError, PfResult, ResourceId, Verdict};
+
+use crate::ring::BoundedRing;
 
 /// One resource-access log record.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,6 +159,68 @@ impl LogEntry {
     }
 }
 
+/// A LOG record's tag: an engine keyword (`DROP`, `CTXFAIL`, …) or the
+/// `--tag` of the rule that logged, shared with the installed rule.
+#[derive(Debug, Clone)]
+pub(crate) enum LogTag {
+    Static(&'static str),
+    Rule(Arc<str>),
+}
+
+/// One LOG record as the hook captures it, rendered into the public
+/// [`LogEntry`] at drain. Names are the interners' shared copies, which
+/// are append-only, so they still name the same label or program when
+/// the record is rendered.
+#[derive(Debug, Clone)]
+pub struct LogRecord {
+    pub(crate) ts: u64,
+    pub(crate) pid: u32,
+    pub(crate) subject: Arc<str>,
+    pub(crate) program: Arc<str>,
+    /// Entrypoint program and relative pc, when the unwind succeeded.
+    pub(crate) ept: Option<(Arc<str>, u64)>,
+    pub(crate) op: LsmOperation,
+    /// Object label and resource, when the operation has an object.
+    pub(crate) object: Option<(Arc<str>, ResourceId)>,
+    pub(crate) adv_write: bool,
+    pub(crate) adv_read: bool,
+    pub(crate) tag: LogTag,
+    /// `Allow` unless a DROP in the same invocation patched it.
+    pub(crate) verdict: Verdict,
+}
+
+impl LogRecord {
+    /// Renders the record's strings.
+    fn render(self) -> LogEntry {
+        let (ept_prog, ept_pc) = self
+            .ept
+            .map_or((String::new(), 0), |(p, pc)| (p.to_string(), pc));
+        let (object, resource) = self
+            .object
+            .map_or((String::new(), String::new()), |(label, r)| {
+                (label.to_string(), r.to_string())
+            });
+        LogEntry {
+            ts: self.ts,
+            pid: self.pid,
+            subject: self.subject.to_string(),
+            program: self.program.to_string(),
+            ept_prog,
+            ept_pc,
+            op: self.op,
+            object,
+            resource,
+            adv_write: self.adv_write,
+            adv_read: self.adv_read,
+            tag: match self.tag {
+                LogTag::Static(tag) => tag.to_owned(),
+                LogTag::Rule(tag) => tag.to_string(),
+            },
+            verdict: self.verdict.to_string(),
+        }
+    }
+}
+
 /// Default [`LogSink`] capacity: roomy enough that every existing
 /// workload drains losslessly, small enough that a runaway LOG flood
 /// tops out at a few tens of megabytes instead of eating the host.
@@ -175,26 +240,15 @@ pub struct LogDrain {
     pub dropped_since_last: u64,
 }
 
-/// The firewall-wide LOG buffer: a bounded overwrite-oldest ring.
+/// The firewall-wide LOG buffer: a bounded overwrite-oldest ring of
+/// captured records, rendered into [`LogEntry`]s when drained.
 ///
 /// Writers append whole invocations' worth of records under **one**
-/// lock acquisition ([`LogSink::append`]); when the ring is full the
-/// oldest records are overwritten and counted in [`LogSink::dropped`].
-/// All three counters are always on — a saturated collector is an
-/// operational signal, not profiling detail — and are updated under the
-/// ring lock, so `emitted == drained + dropped + len` is exact at every
-/// quiescent point, not merely eventually.
-#[derive(Debug)]
-pub struct LogSink {
-    ring: Mutex<VecDeque<LogEntry>>,
-    capacity: AtomicUsize,
-    emitted: AtomicU64,
-    drained: AtomicU64,
-    dropped: AtomicU64,
-    /// The `dropped` total the last drain observed; the delta since
-    /// then decides whether the next drain reports a gap.
-    drop_mark: AtomicU64,
-}
+/// lock acquisition; when the ring is full the oldest records are
+/// overwritten and counted in `dropped`. The counters are updated under
+/// the ring lock, so `emitted == drained + dropped + len` is exact at
+/// every quiescent point, not merely eventually.
+pub type LogSink = BoundedRing<LogRecord>;
 
 impl Default for LogSink {
     fn default() -> Self {
@@ -205,80 +259,7 @@ impl Default for LogSink {
 impl LogSink {
     /// Creates a sink bounded at `capacity` records (minimum 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        LogSink {
-            ring: Mutex::new(VecDeque::new()),
-            capacity: AtomicUsize::new(capacity.max(1)),
-            emitted: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            drop_mark: AtomicU64::new(0),
-        }
-    }
-
-    /// Locks the ring, recovering from poisoning: pushes and drains are
-    /// whole-record operations, so contents left by a panicked writer
-    /// are still structurally consistent.
-    fn lock(&self) -> MutexGuard<'_, VecDeque<LogEntry>> {
-        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Rebounds the sink to `capacity` records (minimum 1). Shrinking
-    /// below the current occupancy drops the oldest records, counted
-    /// like any other overwrite.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        let mut ring = self.lock();
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut overwritten = 0u64;
-        while ring.len() > capacity {
-            ring.pop_front();
-            overwritten += 1;
-        }
-        if overwritten > 0 {
-            self.dropped.fetch_add(overwritten, Ordering::Relaxed);
-        }
-    }
-
-    /// Appends one record, overwriting the oldest when full.
-    pub fn push(&self, entry: LogEntry) {
-        let cap = self.capacity();
-        let mut ring = self.lock();
-        if ring.len() >= cap {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(entry);
-        self.emitted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Appends a whole batch (one invocation's scratch) under a single
-    /// lock acquisition, draining `batch` in place — the batch keeps its
-    /// allocation for reuse. Oldest records are overwritten when the
-    /// batch does not fit.
-    pub fn append(&self, batch: &mut Vec<LogEntry>) {
-        if batch.is_empty() {
-            return;
-        }
-        let cap = self.capacity();
-        let n = batch.len() as u64;
-        let mut ring = self.lock();
-        let mut overwritten = 0u64;
-        for entry in batch.drain(..) {
-            if ring.len() >= cap {
-                ring.pop_front();
-                overwritten += 1;
-            }
-            ring.push_back(entry);
-        }
-        if overwritten > 0 {
-            self.dropped.fetch_add(overwritten, Ordering::Relaxed);
-        }
-        self.emitted.fetch_add(n, Ordering::Relaxed);
+        BoundedRing::new(capacity)
     }
 
     /// Drains every buffered record, oldest first (no gap marking; see
@@ -288,58 +269,16 @@ impl LogSink {
     }
 
     /// Drains every buffered record and reports whether records were
-    /// overwritten since the previous drain (the TRACE-ring gap
-    /// discipline: the mark is swapped under the ring lock, so
-    /// concurrent drains never double-report a gap).
+    /// overwritten since the previous drain. The lock is held only to
+    /// swap the buffer out; the records are rendered after it is
+    /// released, so the drain, not the hook, pays for the strings.
     pub fn drain(&self) -> LogDrain {
-        let mut ring = self.lock();
-        // Swap in an empty deque of the same capacity: `mem::take`
-        // would reset it to zero and make writers re-pay the doubling
-        // growth after every drain.
-        let fresh = VecDeque::with_capacity(ring.capacity());
-        let entries: Vec<LogEntry> = std::mem::replace(&mut *ring, fresh).into();
-        self.drained
-            .fetch_add(entries.len() as u64, Ordering::Relaxed);
-        let total = self.dropped.load(Ordering::Relaxed);
-        let mark = self.drop_mark.swap(total, Ordering::Relaxed);
+        let (records, dropped_since_last) = self.take_all();
         LogDrain {
-            entries,
-            gap: total > mark,
-            dropped_since_last: total - mark,
+            entries: records.into_iter().map(LogRecord::render).collect(),
+            gap: dropped_since_last > 0,
+            dropped_since_last,
         }
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Whether the sink is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
-    }
-
-    /// Records ever appended (including later-overwritten ones).
-    pub fn emitted(&self) -> u64 {
-        self.emitted.load(Ordering::Relaxed)
-    }
-
-    /// Records handed to a drainer.
-    pub fn drained(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
-    }
-
-    /// Records overwritten before any drainer saw them.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Test hook: takes the ring lock without poison recovery, so a
-    /// test can poison it by panicking while holding the guard.
-    #[cfg(test)]
-    pub(crate) fn lock_raw(&self) -> MutexGuard<'_, VecDeque<LogEntry>> {
-        #[allow(clippy::unwrap_used)]
-        self.ring.lock().unwrap()
     }
 }
 
@@ -448,6 +387,7 @@ fn parse_flat_object(json: &str) -> PfResult<Vec<(String, JsonVal)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pf_types::{DeviceId, InodeNum};
 
     fn entry() -> LogEntry {
         LogEntry {
@@ -524,10 +464,45 @@ mod tests {
         assert!(LogEntry::parse_json("{\"ts\":1}").is_err());
     }
 
-    fn stamped(ts: u64) -> LogEntry {
-        let mut e = entry();
-        e.ts = ts;
-        e
+    /// The captured form of [`entry`], stamped `ts`.
+    fn stamped(ts: u64) -> LogRecord {
+        LogRecord {
+            ts,
+            pid: 7,
+            subject: "user_t".into(),
+            program: "/usr/bin/python2.7".into(),
+            ept: Some(("/usr/bin/python2.7".into(), 0x34f05)),
+            op: LsmOperation::FileOpen,
+            object: Some((
+                "tmp_t".into(),
+                ResourceId::File {
+                    dev: DeviceId(1),
+                    ino: InodeNum(99),
+                },
+            )),
+            adv_write: true,
+            adv_read: false,
+            tag: LogTag::Rule("trace".into()),
+            verdict: Verdict::Allow,
+        }
+    }
+
+    #[test]
+    fn drain_renders_what_the_hook_captured() {
+        let sink = LogSink::with_capacity(4);
+        sink.push(stamped(42));
+        let mut objectless = stamped(43);
+        objectless.ept = None;
+        objectless.object = None;
+        objectless.tag = LogTag::Static("DROP");
+        objectless.verdict = Verdict::Deny;
+        sink.push(objectless);
+        let entries = sink.take();
+        assert_eq!(entries[0], entry(), "every field renders as before");
+        let e = &entries[1];
+        assert_eq!((e.ept_prog.as_str(), e.ept_pc), ("", 0));
+        assert_eq!((e.object.as_str(), e.resource.as_str()), ("", ""));
+        assert_eq!((e.tag.as_str(), e.verdict.as_str()), ("DROP", "DENY"));
     }
 
     #[test]
@@ -554,7 +529,7 @@ mod tests {
     #[test]
     fn sink_batch_append_preserves_order_and_allocation() {
         let sink = LogSink::with_capacity(8);
-        let mut batch: Vec<LogEntry> = (0..5).map(stamped).collect();
+        let mut batch: Vec<LogRecord> = (0..5).map(stamped).collect();
         let cap_before = batch.capacity();
         sink.append(&mut batch);
         assert!(batch.is_empty(), "batch is drained in place");

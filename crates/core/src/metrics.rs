@@ -12,7 +12,7 @@
 //! * log-linear latency histograms (nanosecond buckets, power-of-two
 //!   octaves split four ways) for whole-hook evaluation and for context
 //!   fetches;
-//! * the TRACE target's bounded event ring.
+//! * the TRACE target's bounded hop ring.
 //!
 //! The registry is **thread-safe**: the firewall hook runs re-entrantly
 //! from many tasks at once (the paper's LSM hooks run with interrupts
@@ -20,8 +20,9 @@
 //! histograms are *sharded* — each recording thread owns one shard of
 //! atomic buckets, and [`Metrics::eval_latency`]/
 //! [`Metrics::fetch_latency`] merge the shards into one summary
-//! histogram on export. The rarely-touched structures (per-rule counter
-//! maps, the TRACE ring) sit behind plain mutexes off the hot path.
+//! histogram on export. The per-rule counter maps sit behind sharded
+//! mutexes; the TRACE ring is a [`BoundedRing`] of fixed hops, rendered
+//! into [`TraceEvent`]s by [`Metrics::drain_trace`].
 //!
 //! The detail layer is gated by [`Metrics::set_detailed`]: with
 //! recording off (the default) every detail hook is a no-op and no
@@ -32,7 +33,7 @@
 //! semantics that existing tests assert; the per-operation VCACHE
 //! splits ride in the detail layer.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -43,9 +44,10 @@ use pf_types::LsmOperation;
 use crate::chain::ChainName;
 use crate::context::CtxField;
 use crate::log::esc;
+use crate::ring::BoundedRing;
 
-/// Capacity of the TRACE event ring; older events are dropped (and
-/// counted) once the ring is full.
+/// Capacity of the TRACE ring; older hops are dropped (and counted)
+/// once the ring is full.
 pub const TRACE_RING_CAP: usize = 4096;
 
 const NUM_OPS: usize = LsmOperation::ALL.len();
@@ -129,6 +131,41 @@ impl TraceEvent {
             self.gap
         );
         s
+    }
+}
+
+/// One TRACE hop as the walk captures it; rendered into a
+/// [`TraceEvent`] by [`Metrics::drain_trace`].
+#[derive(Debug)]
+pub(crate) struct TraceHop {
+    pub(crate) chain: ChainName,
+    pub(crate) rule_index: usize,
+    pub(crate) matched: bool,
+    pub(crate) target: &'static str,
+    pub(crate) elapsed_ns: u64,
+    pub(crate) degraded: bool,
+    pub(crate) invocation: u64,
+}
+
+impl TraceHop {
+    fn render(self) -> TraceEvent {
+        TraceEvent {
+            chain: self.chain.name(),
+            rule_index: self.rule_index,
+            matched: self.matched,
+            target: self.target,
+            elapsed_ns: self.elapsed_ns,
+            degraded: self.degraded,
+            invocation: self.invocation,
+            gap: false,
+        }
+    }
+}
+
+/// The TRACE ring, bounded at [`TRACE_RING_CAP`].
+impl Default for BoundedRing<TraceHop> {
+    fn default() -> Self {
+        BoundedRing::new(TRACE_RING_CAP)
     }
 }
 
@@ -503,12 +540,7 @@ pub struct Metrics {
     eval_ns: ShardedHistogram,
     fetch_ns: ShardedHistogram,
     // --- TRACE ring (driven by rules, not by `detailed`) ---
-    trace: Mutex<VecDeque<TraceEvent>>,
-    trace_dropped: AtomicU64,
-    /// The `trace_dropped` total the last `drain_trace` observed; the
-    /// delta since then decides whether the next drain starts with a
-    /// gap marker.
-    trace_drop_mark: AtomicU64,
+    trace: BoundedRing<TraceHop>,
 }
 
 #[derive(Debug)]
@@ -584,9 +616,7 @@ impl Metrics {
         }
         self.eval_ns.reset();
         self.fetch_ns.reset();
-        self.lock_trace().clear();
-        self.trace_dropped.store(0, Ordering::Relaxed);
-        self.trace_drop_mark.store(0, Ordering::Relaxed);
+        self.trace.reset();
     }
 
     /// Locks this thread's per-chain counter shard (shard 0 when
@@ -628,15 +658,6 @@ impl Metrics {
             }
         }
         merged
-    }
-
-    /// Locks the TRACE ring, recovering from poisoning: pushes and
-    /// drains are single whole-event operations, so the ring is always
-    /// structurally consistent.
-    fn lock_trace(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceEvent>> {
-        self.trace
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Turns the detail layer (per-rule/per-op/per-field counters and
@@ -1099,16 +1120,12 @@ impl Metrics {
 
     // --- TRACE ring ---
 
-    pub(crate) fn push_trace(&self, event: TraceEvent) {
-        let mut ring = self.lock_trace();
-        if ring.len() >= TRACE_RING_CAP {
-            ring.pop_front();
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back(event);
+    pub(crate) fn push_trace(&self, hop: TraceHop) {
+        self.trace.push(hop);
     }
 
-    /// Drains the TRACE event ring, oldest first.
+    /// Drains the TRACE ring, oldest first, rendering each hop after the
+    /// ring lock is released.
     ///
     /// If the ring overflowed since the previous drain (see
     /// [`Metrics::trace_dropped`]), the first drained event carries
@@ -1116,28 +1133,22 @@ impl Metrics {
     /// is stamped here, on the reader side, so the push path stays one
     /// `pop_front` + counter bump regardless of drain cadence.
     pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        let mut ring = self.lock_trace();
-        let mut events: Vec<TraceEvent> = ring.drain(..).collect();
-        // Mark-swap happens under the ring lock so two racing drains
-        // cannot both consume the same overflow delta.
-        let total = self.trace_dropped.load(Ordering::Relaxed);
-        let prior = self.trace_drop_mark.swap(total, Ordering::Relaxed);
-        if total > prior {
-            if let Some(first) = events.first_mut() {
-                first.gap = true;
-            }
+        let (hops, dropped_since_last) = self.trace.take_all();
+        let mut events: Vec<TraceEvent> = hops.into_iter().map(TraceHop::render).collect();
+        if let Some(first) = events.first_mut() {
+            first.gap = dropped_since_last > 0;
         }
         events
     }
 
     /// Buffered TRACE events.
     pub fn trace_len(&self) -> usize {
-        self.lock_trace().len()
+        self.trace.len()
     }
 
     /// TRACE events discarded because the ring was full.
     pub fn trace_dropped(&self) -> u64 {
-        self.trace_dropped.load(Ordering::Relaxed)
+        self.trace.dropped()
     }
 
     // --- exporters ---
@@ -1593,17 +1604,17 @@ mod tests {
     #[test]
     fn trace_ring_is_bounded() {
         let m = Metrics::new();
+        let hop = |rule_index, invocation| TraceHop {
+            chain: ChainName::Input,
+            rule_index,
+            matched: true,
+            target: "DROP",
+            elapsed_ns: 0,
+            degraded: false,
+            invocation,
+        };
         for i in 0..(TRACE_RING_CAP + 10) {
-            m.push_trace(TraceEvent {
-                chain: "input".into(),
-                rule_index: i,
-                matched: true,
-                target: "DROP",
-                elapsed_ns: 0,
-                degraded: false,
-                invocation: 0,
-                gap: false,
-            });
+            m.push_trace(hop(i, 0));
         }
         assert_eq!(m.trace_len(), TRACE_RING_CAP);
         assert_eq!(m.trace_dropped(), 10);
@@ -1615,16 +1626,7 @@ mod tests {
         assert_eq!(m.trace_len(), 0);
 
         // A second overflow-free round drains without a gap marker.
-        m.push_trace(TraceEvent {
-            chain: "input".into(),
-            rule_index: 0,
-            matched: true,
-            target: "DROP",
-            elapsed_ns: 0,
-            degraded: false,
-            invocation: 7,
-            gap: false,
-        });
+        m.push_trace(hop(0, 7));
         let events = m.drain_trace();
         assert_eq!(events.len(), 1);
         assert!(!events[0].gap, "no drops since last drain, no gap");

@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use pf_types::{LabelSet, LsmOperation, ProgramId};
 
+use crate::chain::ChainName;
 use crate::context::CtxField;
 use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleCell};
 use crate::value::ValueExpr;
@@ -188,8 +189,8 @@ pub enum Target {
     Continue,
     /// Leave the current chain (top level: default policy applies).
     Return,
-    /// Jump into a user-defined chain.
-    Jump(String),
+    /// Jump into a user-defined chain, parsed once at install.
+    Jump(ChainName),
     /// `-j STATE --set --key K --value V`: record state, continue.
     StateSet {
         /// Dictionary key.
@@ -204,8 +205,9 @@ pub enum Target {
     },
     /// `-j LOG [--tag T]`: emit a JSON log record, continue.
     Log {
-        /// Free-form tag carried in the record.
-        tag: String,
+        /// Free-form tag carried in the record, shared with every record
+        /// the rule logs.
+        tag: Arc<str>,
     },
     /// `-j TRACE`: non-terminal. Once a packet hits a TRACE rule, every
     /// subsequent rule it traverses in the same invocation emits a
@@ -534,9 +536,9 @@ mod tests {
     #[test]
     fn terminality() {
         assert!(Target::Drop.is_terminal());
-        assert!(Target::Jump("x".into()).is_terminal());
+        assert!(Target::Jump(ChainName::parse("x")).is_terminal());
         assert!(!Target::Trace.is_terminal());
-        assert!(!Target::Log { tag: String::new() }.is_terminal());
+        assert!(!Target::Log { tag: "".into() }.is_terminal());
         assert!(!Target::StateSet {
             key: 1,
             value: ValueExpr::Lit(1)

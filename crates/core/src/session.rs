@@ -36,7 +36,7 @@ use pf_types::LsmOperation;
 
 use crate::engine::{EvalDecision, ProcessFirewall};
 use crate::env::EvalEnv;
-use crate::log::LogEntry;
+use crate::log::LogRecord;
 use crate::snapshot::RulesetSnapshot;
 use crate::vcache::VerdictCache;
 
@@ -53,7 +53,7 @@ pub struct TaskSession {
     /// its kernel swapping in a *different* firewall instance (whose
     /// generation counter is unrelated).
     owner: usize,
-    scratch: Vec<LogEntry>,
+    scratch: Vec<LogRecord>,
     /// The VCACHE verdict cache (active only when the pinned config has
     /// `verdict_cache` set). Entries are valid for exactly one pinned
     /// snapshot: every re-pin clears them wholesale, so no verdict
@@ -264,8 +264,8 @@ mod tests {
         fn mac(&self) -> &MacPolicy {
             &self.mac
         }
-        fn program_name(&self, id: ProgramId) -> String {
-            self.programs.resolve(id).to_owned()
+        fn program_name(&self, id: ProgramId) -> Arc<str> {
+            self.programs.resolve_shared(id)
         }
         fn state_get(&self, _key: u64) -> Option<u64> {
             None

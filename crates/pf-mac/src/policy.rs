@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use pf_types::{Interner, SecId};
 
@@ -225,6 +225,14 @@ impl MacPolicy {
     /// The label name for a `SecId`.
     pub fn label_name(&self, sid: SecId) -> &str {
         self.labels.resolve(sid)
+    }
+
+    /// The label name for a `SecId` as the policy's own shared copy: a
+    /// reference-count bump, no allocation. Labels are never renamed or
+    /// removed, so the handle names the same label for as long as it
+    /// lives.
+    pub fn label_shared(&self, sid: SecId) -> Arc<str> {
+        self.labels.resolve_shared(sid)
     }
 
     /// The fallback label for paths with no file-context match.

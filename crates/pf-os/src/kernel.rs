@@ -802,8 +802,8 @@ impl EvalEnv for KernelEnv<'_> {
         self.mac
     }
 
-    fn program_name(&self, id: ProgramId) -> String {
-        self.programs.resolve(id).to_owned()
+    fn program_name(&self, id: ProgramId) -> Arc<str> {
+        self.programs.resolve_shared(id)
     }
 
     fn state_get(&self, key: u64) -> Option<u64> {

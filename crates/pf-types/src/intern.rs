@@ -5,8 +5,16 @@
 //! prototype in the paper translates SELinux labels into integer security
 //! IDs "for fast matching" (Section 5.2); [`Interner`] provides the same
 //! service here for any string-like namespace.
+//!
+//! Each string is stored once, as an `Arc<str>` shared by the lookup map
+//! and the id table. [`Interner::resolve_shared`] hands out that same
+//! allocation, so a record captured on a hot path can name a label or a
+//! program with a reference-count bump instead of a copy; because the
+//! interner is append-only, the handle keeps naming the same string for
+//! as long as it lives.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An index into an [`Interner`].
 ///
@@ -36,11 +44,12 @@ impl InternId {
 /// assert_ne!(a, b);
 /// assert_eq!(i.intern("lib_t"), a);
 /// assert_eq!(i.resolve(a), "lib_t");
+/// assert_eq!(&*i.resolve_shared(a), "lib_t");
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    map: HashMap<String, InternId>,
-    strings: Vec<String>,
+    map: HashMap<Arc<str>, InternId>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -57,8 +66,9 @@ impl Interner {
         let id = InternId(
             u32::try_from(self.strings.len()).expect("interner capacity exceeded u32::MAX"),
         );
-        self.strings.push(s.to_owned());
-        self.map.insert(s.to_owned(), id);
+        let shared: Arc<str> = Arc::from(s);
+        self.strings.push(Arc::clone(&shared));
+        self.map.insert(shared, id);
         id
     }
 
@@ -76,6 +86,16 @@ impl Interner {
         &self.strings[id.index()]
     }
 
+    /// Resolves an id to the interner's own shared copy of the string:
+    /// a reference-count bump, no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this interner.
+    pub fn resolve_shared(&self, id: InternId) -> Arc<str> {
+        Arc::clone(&self.strings[id.index()])
+    }
+
     /// Returns the number of distinct interned strings.
     pub fn len(&self) -> usize {
         self.strings.len()
@@ -91,7 +111,7 @@ impl Interner {
         self.strings
             .iter()
             .enumerate()
-            .map(|(i, s)| (InternId(i as u32), s.as_str()))
+            .map(|(i, s)| (InternId(i as u32), &**s))
     }
 }
 
@@ -113,6 +133,17 @@ mod tests {
         let ids: Vec<_> = ["a", "b", "c"].iter().map(|s| i.intern(s)).collect();
         let back: Vec<_> = ids.iter().map(|&id| i.resolve(id)).collect();
         assert_eq!(back, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn shared_resolution_is_the_interned_allocation() {
+        let mut i = Interner::new();
+        let a = i.intern("lib_t");
+        let first = i.resolve_shared(a);
+        i.intern("tmp_t");
+        let second = i.resolve_shared(a);
+        assert!(Arc::ptr_eq(&first, &second), "no copy per resolution");
+        assert_eq!(&*first, "lib_t");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! must escape every such value — one hostile rule name must not be
 //! able to forge metric lines or truncate the JSON document.
 
+use std::sync::Arc;
+
 use process_firewall::firewall::{
     EvalEnv, ObjectInfo, OptLevel, ProcessFirewall, SamplingMode, SignalInfo,
 };
@@ -81,8 +83,8 @@ impl EvalEnv for Env {
     fn mac(&self) -> &MacPolicy {
         &self.mac
     }
-    fn program_name(&self, id: ProgramId) -> String {
-        self.programs.resolve(id).to_owned()
+    fn program_name(&self, id: ProgramId) -> Arc<str> {
+        self.programs.resolve_shared(id)
     }
     fn state_get(&self, _key: u64) -> Option<u64> {
         None

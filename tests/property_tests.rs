@@ -314,6 +314,8 @@ proptest! {
 // ---------------------------------------------------------------------
 
 mod reload_env {
+    use std::sync::Arc;
+
     use process_firewall::firewall::{EvalEnv, ObjectInfo, SignalInfo};
     use process_firewall::mac::{ubuntu_mini, MacPolicy};
     use process_firewall::types::{
@@ -383,8 +385,8 @@ mod reload_env {
         fn mac(&self) -> &MacPolicy {
             &self.mac
         }
-        fn program_name(&self, id: ProgramId) -> String {
-            self.programs.resolve(id).to_owned()
+        fn program_name(&self, id: ProgramId) -> Arc<str> {
+            self.programs.resolve_shared(id)
         }
         fn state_get(&self, _key: u64) -> Option<u64> {
             None

@@ -102,8 +102,8 @@ impl EvalEnv for Env {
     fn mac(&self) -> &MacPolicy {
         &self.mac
     }
-    fn program_name(&self, id: ProgramId) -> String {
-        self.programs.resolve(id).to_owned()
+    fn program_name(&self, id: ProgramId) -> Arc<str> {
+        self.programs.resolve_shared(id)
     }
     fn state_get(&self, _key: u64) -> Option<u64> {
         None
