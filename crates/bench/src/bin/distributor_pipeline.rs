@@ -45,7 +45,7 @@ fn main() {
     k.install_rules(["pftables -o FILE_OPEN -j LOG --tag trace"])
         .unwrap();
     exercise(&mut k, 30);
-    let logs = k.firewall.take_logs();
+    let logs = k.firewall.drain_logs().entries;
     let trace_path = dir.join("trace.jsonl");
     let jsonl: String = logs
         .iter()

@@ -73,7 +73,7 @@ fn main() {
     assert!(k.kill(init, sshd, SignalNum::SIGALRM).unwrap());
     workloads_run += 1;
 
-    let stats = k.firewall.stats();
+    let stats = k.firewall.metrics();
     println!("False-positive soak under the FULL rule base ({FULL_RULE_COUNT} rules)");
     println!("{:-<64}", "");
     println!("benign workload groups run:   {workloads_run}");

@@ -2,11 +2,12 @@
 //!
 //! Runs one pf-attacks workload under the full rule base (EPTSPC) with
 //! detailed metrics enabled and decision-event sampling at `always`,
-//! then prints the counter/histogram report: summary counters,
-//! per-operation invocation counts, per-rule evaluated/hit counters,
-//! per-context-field fetch statistics, the evaluation / context-fetch
-//! latency histograms, the decision-event plane tallies, and live
-//! RATELIMIT/QUOTA bucket occupancy.
+//! then prints the counter/histogram report: the counter table's
+//! `name value` summary (every total, then every nonzero per-operation
+//! and per-field value), per-rule evaluated/hit counters, the
+//! evaluation / context-fetch latency histograms, the decision-event
+//! plane tallies, the log sink accounting, and live RATELIMIT/QUOTA
+//! bucket occupancy.
 //!
 //! ```text
 //! usage: pfstat [apache|boot|web] [--json|--prometheus]
@@ -22,8 +23,7 @@ use pf_attacks::workloads::{apache_build, boot, setup_build_tree, web_serve};
 use pf_bench::{world_at, RuleSet};
 use pf_core::events::EventKind;
 use pf_core::metrics::Histogram;
-use pf_core::{CtxField, OptLevel, SamplingMode};
-use pf_types::LsmOperation;
+use pf_core::{OptLevel, SamplingMode};
 
 fn usage() -> ! {
     eprintln!("usage: pfstat [apache|boot|web] [--json|--prometheus]");
@@ -77,92 +77,8 @@ fn report(k: &pf_os::Kernel, workload: &str) {
     println!("pfstat: workload `{workload}` under the full rule base (EPTSPC)");
     println!();
 
-    println!("== summary counters ==");
-    println!("invocations      {}", m.invocations());
-    println!("rules evaluated  {}", m.rules_evaluated());
-    println!(
-        "ctx fetches      {} ({} cache hits)",
-        m.ctx_fetches(),
-        m.cache_hits()
-    );
-    println!("drops            {}", m.drops());
-    println!("accepts          {}", m.accepts());
-    println!("default allows   {}", m.default_allows());
-    println!(
-        "vcache           {} hits / {} misses / {} uncacheable",
-        m.vcache_hits(),
-        m.vcache_misses(),
-        m.vcache_uncacheable()
-    );
-    println!(
-        "throttled        {} ratelimit / {} quota",
-        m.ratelimit_throttled(),
-        m.quota_exceeded()
-    );
-    println!(
-        "origin           {} transitions / {} widened / {} vcache invalidations",
-        m.origin_transitions(),
-        m.origin_widened(),
-        m.origin_vcache_invalidations()
-    );
-    println!();
-
-    println!("== per-operation invocations ==");
-    let mut ops: Vec<(u64, LsmOperation)> = LsmOperation::ALL
-        .iter()
-        .map(|&op| (m.op_invocations(op), op))
-        .filter(|(n, _)| *n > 0)
-        .collect();
-    ops.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.name().cmp(b.1.name())));
-    for (n, op) in &ops {
-        println!("{:<28} {n}", op.name());
-    }
-    println!();
-
-    // Per-operation verdict-cache splits (detail layer; zero rows only
-    // when the run never exercised VCACHE).
-    let mut vc_rows: Vec<(LsmOperation, u64, u64, u64)> = LsmOperation::ALL
-        .iter()
-        .map(|&op| {
-            let (h, mi, u) = m.vcache_op_counts(op);
-            (op, h, mi, u)
-        })
-        .filter(|&(_, h, mi, u)| h + mi + u > 0)
-        .collect();
-    vc_rows.sort_by_key(|r| std::cmp::Reverse(r.1 + r.2 + r.3));
-    println!("== per-operation vcache splits ==");
-    if vc_rows.is_empty() {
-        println!("(no vcache activity)");
-    } else {
-        println!(
-            "{:<28} {:>10} {:>10} {:>12}",
-            "operation", "hits", "misses", "uncacheable"
-        );
-        for (op, h, mi, u) in &vc_rows {
-            println!("{:<28} {h:>10} {mi:>10} {u:>12}", op.name());
-        }
-    }
-    println!();
-
-    // Per-operation throttle splits (RATELIMIT / QUOTA rejections).
-    let mut th_rows: Vec<(LsmOperation, u64, u64)> = LsmOperation::ALL
-        .iter()
-        .map(|&op| {
-            let (r, q) = m.throttle_op_counts(op);
-            (op, r, q)
-        })
-        .filter(|&(_, r, q)| r + q > 0)
-        .collect();
-    th_rows.sort_by_key(|r| std::cmp::Reverse(r.1 + r.2));
-    println!("== per-operation throttle splits ==");
-    if th_rows.is_empty() {
-        println!("(no throttled accesses)");
-    } else {
-        println!("{:<28} {:>10} {:>10}", "operation", "ratelimit", "quota");
-        for (op, r, q) in &th_rows {
-            println!("{:<28} {r:>10} {q:>10}", op.name());
-        }
-    }
+    println!("== counters ==");
+    print!("{}", m.render_summary());
     println!();
 
     // Per-rule counters, hottest first. The full base has ~1218 rules,
@@ -197,22 +113,6 @@ fn report(k: &pf_os::Kernel, workload: &str) {
     );
     for (evals, hits, throttled, chain, index, text) in rows.iter().take(TOP) {
         println!("{evals:>10} {hits:>8} {throttled:>9}  {chain:<14} {index:>4}  {text}");
-    }
-    println!();
-
-    println!("== context fields ==");
-    println!(
-        "{:<16} {:>10} {:>10} {:>10}",
-        "field", "fetches", "hits", "misses"
-    );
-    for field in CtxField::ALL {
-        let (fetches, hits, misses) = m.field_counts(field);
-        if fetches + hits + misses > 0 {
-            println!(
-                "{:<16} {fetches:>10} {hits:>10} {misses:>10}",
-                field.cname()
-            );
-        }
     }
     println!();
 
@@ -263,7 +163,7 @@ fn report(k: &pf_os::Kernel, workload: &str) {
                 "sampled decision latency: p50 {} ns, p99 {} ns, p99.9 {} ns",
                 lat.p50(),
                 lat.p99(),
-                lat.percentile(99.9)
+                lat.percentile(0.999)
             );
         }
     }

@@ -367,7 +367,7 @@ fn main() {
     let (p50, p99, p999) = (
         agg.latency.p50(),
         agg.latency.p99(),
-        agg.latency.percentile(99.9),
+        agg.latency.percentile(0.999),
     );
     println!("decision latency: p50 {p50} ns, p99 {p99} ns, p99.9 {p999} ns");
     let (logs_emitted, logs_drained, logs_dropped) = (

@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use pf_bench::{time_per_iter, us, world_at, RuleSet};
-use pf_core::{CtxField, FaultConfig, FaultInjector, OptLevel};
+use pf_core::{CtxField, FaultConfig, FaultInjector, FieldCounter, OptLevel};
 use pf_os::{Kernel, OpenFlags};
 use pf_types::Pid;
 
@@ -88,7 +88,7 @@ fn run_pass(name: &'static str, cfg: FaultConfig, iters: u64) -> Pass {
         injected: k.fault_injection.as_ref().unwrap().stats(),
         field_failures: fields
             .iter()
-            .map(|&(n, f)| (n, m.field_failures(f)))
+            .map(|&(n, f)| (n, m.by_field(FieldCounter::Failures, f)))
             .collect(),
     }
 }

@@ -574,7 +574,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     // (records the pre-fix leak in bytes; a drained sink retains 0).
     let logs_retained_bytes: u64 = shared
         .log_sink()
-        .take()
+        .drain()
+        .entries
         .iter()
         .map(|e| {
             (std::mem::size_of::<pf_core::LogEntry>()

@@ -11,7 +11,7 @@ use pf_types::{ProgramId, SecId};
 
 use crate::config::PfConfig;
 use crate::env::{EvalEnv, Fetched};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, FieldCounter, Metrics};
 
 /// One retrievable context field.
 ///
@@ -166,7 +166,7 @@ pub struct Packet<'e> {
 fn note<T>(metrics: &Metrics, field: CtxField, t0: Option<std::time::Instant>, v: &Fetched<T>) {
     metrics.observe_fetch(field, t0, v.is_missing());
     if v.is_failed() {
-        metrics.field_failure(field);
+        metrics.bump_field(FieldCounter::Failures, field);
     }
 }
 
@@ -265,8 +265,8 @@ impl<'e> Packet<'e> {
         self.mark(CtxField::Entrypoint);
         if self.config.context_caching {
             if self.env.cache_get(CACHE_EPT_MISSING).is_some() {
-                metrics.bump_cache_hits();
-                metrics.field_hit(CtxField::Entrypoint);
+                metrics.bump(Counter::CacheHits);
+                metrics.bump_field(FieldCounter::Hits, CtxField::Entrypoint);
                 self.entrypoint = Fetched::Missing;
                 return self.entrypoint;
             }
@@ -274,13 +274,13 @@ impl<'e> Packet<'e> {
                 self.env.cache_get(CACHE_EPT_PROG),
                 self.env.cache_get(CACHE_EPT_PC),
             ) {
-                metrics.bump_cache_hits();
-                metrics.field_hit(CtxField::Entrypoint);
+                metrics.bump(Counter::CacheHits);
+                metrics.bump_field(FieldCounter::Hits, CtxField::Entrypoint);
                 self.entrypoint = Fetched::Value((pf_types::InternId(prog as u32), pc));
                 return self.entrypoint;
             }
         }
-        metrics.bump_ctx_fetches();
+        metrics.bump(Counter::CtxFetches);
         let t0 = metrics.timer();
         let ep = self.env.try_unwind_entrypoint();
         note(metrics, CtxField::Entrypoint, t0, &ep);
@@ -304,7 +304,7 @@ impl<'e> Packet<'e> {
     pub fn object_sid_value(&mut self, metrics: &Metrics) -> Fetched<SecId> {
         if self.object_sid.is_none() {
             self.mark(CtxField::ObjectSid);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_object().map(|o| o.sid);
             note(metrics, CtxField::ObjectSid, t0, &v);
@@ -317,7 +317,7 @@ impl<'e> Packet<'e> {
     pub fn resource_id_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.resource_id.is_none() {
             self.mark(CtxField::ResourceId);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_object().map(|o| o.resource.as_u64());
             note(metrics, CtxField::ResourceId, t0, &v);
@@ -330,7 +330,7 @@ impl<'e> Packet<'e> {
     pub fn dac_owner_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.dac_owner.is_none() {
             self.mark(CtxField::DacOwner);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_object().map(|o| o.owner.0 as u64);
             note(metrics, CtxField::DacOwner, t0, &v);
@@ -344,7 +344,7 @@ impl<'e> Packet<'e> {
     pub fn tgt_dac_owner_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.tgt_dac_owner.is_none() {
             self.mark(CtxField::TgtDacOwner);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_link_target_owner().map(|u| u.0 as u64);
             note(metrics, CtxField::TgtDacOwner, t0, &v);
@@ -359,7 +359,7 @@ impl<'e> Packet<'e> {
     pub fn adv_write_value(&mut self, metrics: &Metrics) -> Fetched<bool> {
         if self.adv_write.is_none() {
             self.mark(CtxField::AdvWrite);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let sid = self.object_sid_value(metrics);
             let t0 = metrics.timer();
             let v = sid.map(|s| self.env.mac().adversary_writable(s));
@@ -374,7 +374,7 @@ impl<'e> Packet<'e> {
     pub fn adv_read_value(&mut self, metrics: &Metrics) -> Fetched<bool> {
         if self.adv_read.is_none() {
             self.mark(CtxField::AdvRead);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let sid = self.object_sid_value(metrics);
             let t0 = metrics.timer();
             let v = sid.map(|s| self.env.mac().adversary_readable(s));
@@ -388,7 +388,7 @@ impl<'e> Packet<'e> {
     pub fn signal_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.signal_num.is_none() {
             self.mark(CtxField::SignalNum);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_signal().map(|s| s.signal.0 as u64);
             note(metrics, CtxField::SignalNum, t0, &v);
@@ -405,7 +405,7 @@ impl<'e> Packet<'e> {
     pub fn subject_origin_value(&mut self, metrics: &Metrics) -> Fetched<u64> {
         if self.subject_origin.is_none() {
             self.mark(CtxField::SubjectOrigin);
-            metrics.bump_ctx_fetches();
+            metrics.bump(Counter::CtxFetches);
             let t0 = metrics.timer();
             let v = self.env.try_subject_origin();
             note(metrics, CtxField::SubjectOrigin, t0, &v);
@@ -421,7 +421,7 @@ impl<'e> Packet<'e> {
         let field = CtxField::Arg(n.min(3));
         if self.collected & (1 << field.bit()) == 0 {
             self.mark(field);
-            metrics.field_fetch(field);
+            metrics.bump_field(FieldCounter::Fetches, field);
         }
         self.env.syscall_arg(n as usize)
     }

@@ -54,8 +54,8 @@ use crate::events::{
     VcacheOutcome,
 };
 use crate::lang::{parse_command, Command, RuleOp};
-use crate::log::{LogDrain, LogEntry, LogRecord, LogSink, LogTag};
-use crate::metrics::{prom_label_esc, Metrics, TraceEvent, TraceHop};
+use crate::log::{LogDrain, LogRecord, LogSink, LogTag};
+use crate::metrics::{prom_label_esc, Counter, Metrics, OpCounter, TraceEvent, TraceHop};
 use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleSlotState};
 use crate::rule::{CtxPolicy, MatchModule, Rule, Target};
 use crate::snapshot::{RulesetDraft, RulesetSnapshot, SharedRuleset};
@@ -450,14 +450,6 @@ impl ProcessFirewall {
         self.shared.generation()
     }
 
-    /// Engine counters and histograms (the metrics registry).
-    ///
-    /// `stats()` is the historical name; [`ProcessFirewall::metrics`] is
-    /// the same registry under its current one.
-    pub fn stats(&self) -> &Metrics {
-        &self.metrics
-    }
-
     /// The metrics-and-tracing registry.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
@@ -512,11 +504,7 @@ impl ProcessFirewall {
         let _ = writeln!(out, "pf_events_emitted_total {}", self.events.emitted());
         let _ = writeln!(out, "pf_events_drained_total {}", self.events.drained());
         let _ = writeln!(out, "pf_events_dropped_total {}", self.events.dropped());
-        let _ = writeln!(out, "pf_logs_emitted_total {}", self.logs.emitted());
-        let _ = writeln!(out, "pf_logs_drained_total {}", self.logs.drained());
-        let _ = writeln!(out, "pf_logs_dropped_total {}", self.logs.dropped());
-        let _ = writeln!(out, "pf_logs_buffered {}", self.logs.len());
-        let _ = writeln!(out, "pf_logs_capacity {}", self.logs.capacity());
+        self.logs.write_prometheus(&mut out, "pf_logs");
         out.push_str("pf_event_sampling_mode{mode=\"");
         prom_label_esc(&mut out, &self.events.sampling().render());
         out.push_str("\"} 1\n");
@@ -550,25 +538,17 @@ impl ProcessFirewall {
     /// RATELIMIT rules, the window grant count for QUOTA rules).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let mut s = self.metrics.to_json();
-        s.pop(); // reopen the metrics object to append firewall-level keys
+        let mut s = String::from("{");
+        self.metrics.write_json_members(&mut s);
         s.push_str(",\"events\":{\"emitted\":");
         let _ = write!(s, "{}", self.events.emitted());
         let _ = write!(s, ",\"drained\":{}", self.events.drained());
         let _ = write!(s, ",\"dropped\":{}", self.events.dropped());
         s.push_str(",\"sampling\":\"");
         crate::log::esc(&mut s, &self.events.sampling().render());
-        s.push_str("\"},\"logs\":{");
-        let _ = write!(
-            s,
-            "\"emitted\":{},\"drained\":{},\"dropped\":{},\"buffered\":{},\"capacity\":{}",
-            self.logs.emitted(),
-            self.logs.drained(),
-            self.logs.dropped(),
-            self.logs.len(),
-            self.logs.capacity()
-        );
-        s.push_str("},\"throttle_occupancy\":[");
+        s.push_str("\"},");
+        self.logs.write_json(&mut s, "logs");
+        s.push_str(",\"throttle_occupancy\":[");
         let mut first = true;
         for occ in self.throttle_occupancy() {
             for slot in &occ.slots {
@@ -608,11 +588,6 @@ impl ProcessFirewall {
     /// counted like any other overwrite.
     pub fn set_log_capacity(&self, capacity: usize) {
         self.logs.set_capacity(capacity);
-    }
-
-    /// Drains accumulated LOG records, oldest first.
-    pub fn take_logs(&self) -> Vec<LogEntry> {
-        self.logs.take()
     }
 
     /// Drains accumulated LOG records with the overflow gap marker (the
@@ -714,8 +689,8 @@ impl ProcessFirewall {
             d.adv_generation = adv_gen;
             return d;
         }
-        self.metrics.bump_invocations();
-        self.metrics.op_invoked(op);
+        self.metrics.bump(Counter::Invocations);
+        self.metrics.bump_op(OpCounter::Invocations, op);
         let t0 = self.metrics.timer();
         // Decision-event span: with sampling off this is one relaxed
         // load and no clock read; when the gate selects the invocation
@@ -745,7 +720,7 @@ impl ProcessFirewall {
                 // discards the whole cache before any lookup can replay
                 // a pre-widening verdict.
                 if vc.validate_adv_generation(adv_gen) {
-                    self.metrics.bump_origin_vcache_invalidation();
+                    self.metrics.bump(Counter::OriginVcacheInvalidations);
                 }
                 // The snapshot's compile-time summary is the fast-path
                 // filter: if any reachable rule is impure, no walk can
@@ -753,22 +728,32 @@ impl ProcessFirewall {
                 // would eagerly unwind the entrypoint and fetch object
                 // context that LAZYCON would otherwise defer.
                 if !snap.statically_cacheable() {
-                    self.metrics.bump_vcache_uncacheable(op);
+                    self.metrics.bump_split(
+                        Counter::VcacheUncacheable,
+                        OpCounter::VcacheUncacheable,
+                        op,
+                    );
                     vc_outcome = VcacheOutcome::Uncacheable;
                 } else {
                     match VerdictKey::build(&mut pkt, op, snap.keys_resource(), &self.metrics) {
                         Some(key) => {
                             if let Some(entry) = vc.lookup(&key) {
-                                self.metrics.bump_vcache_hit(op);
+                                self.metrics.bump_split(
+                                    Counter::VcacheHits,
+                                    OpCounter::VcacheHits,
+                                    op,
+                                );
                                 vc_outcome = VcacheOutcome::Hit;
                                 // Hits bump the verdict counter the original
                                 // walk would have, so the partition
                                 // `drops + accepts + default_allows ==
                                 // invocations` keeps holding.
                                 match entry.kind {
-                                    VerdictKind::Drop => self.metrics.bump_drops(),
-                                    VerdictKind::Accept => self.metrics.bump_accepts(),
-                                    VerdictKind::DefaultAllow => self.metrics.bump_default_allows(),
+                                    VerdictKind::Drop => self.metrics.bump(Counter::Drops),
+                                    VerdictKind::Accept => self.metrics.bump(Counter::Accepts),
+                                    VerdictKind::DefaultAllow => {
+                                        self.metrics.bump(Counter::DefaultAllows)
+                                    }
                                 }
                                 let decision = entry.decision.clone();
                                 // A cacheable walk logs only its DROP line
@@ -808,7 +793,11 @@ impl ProcessFirewall {
                         // A key field *failed* to fetch: the outcome is not
                         // attributable to key context — bypass the cache.
                         None => {
-                            self.metrics.bump_vcache_uncacheable(op);
+                            self.metrics.bump_split(
+                                Counter::VcacheUncacheable,
+                                OpCounter::VcacheUncacheable,
+                                op,
+                            );
                             vc_outcome = VcacheOutcome::Uncacheable;
                         }
                     }
@@ -843,7 +832,7 @@ impl ProcessFirewall {
                 (d, kind)
             }
             None => {
-                self.metrics.bump_default_allows();
+                self.metrics.bump(Counter::DefaultAllows);
                 (
                     EvalDecision::allow(snap.generation()),
                     VerdictKind::DefaultAllow,
@@ -854,8 +843,8 @@ impl ProcessFirewall {
         decision.degraded |= degraded;
         if decision.degraded {
             match decision.verdict {
-                Verdict::Deny => self.metrics.bump_degraded_drops(),
-                Verdict::Allow => self.metrics.bump_degraded_allows(),
+                Verdict::Deny => self.metrics.bump(Counter::DegradedDrops),
+                Verdict::Allow => self.metrics.bump(Counter::DegradedAllows),
             }
         }
         if decision.verdict == Verdict::Deny {
@@ -865,10 +854,15 @@ impl ProcessFirewall {
         }
         if let Some((vc, key)) = cache_ctx {
             if decision.degraded || cache_blocked {
-                self.metrics.bump_vcache_uncacheable(op);
+                self.metrics.bump_split(
+                    Counter::VcacheUncacheable,
+                    OpCounter::VcacheUncacheable,
+                    op,
+                );
                 vc_outcome = VcacheOutcome::Uncacheable;
             } else {
-                self.metrics.bump_vcache_miss(op);
+                self.metrics
+                    .bump_split(Counter::VcacheMisses, OpCounter::VcacheMisses, op);
                 vc_outcome = VcacheOutcome::Miss;
                 vc.insert(
                     key,
@@ -1087,7 +1081,7 @@ impl<'a> Invocation<'a> {
                     // excluded: walk the whole chain in install order.
                     self.degraded = true;
                     if rulesetc {
-                        self.metrics.bump_rulesetc_fallback();
+                        self.metrics.bump(Counter::RulesetcFallback);
                     }
                     return self.run_seq(&ChainName::Input, input.iter().enumerate(), pkt, op, 0);
                 }
@@ -1105,7 +1099,7 @@ impl<'a> Invocation<'a> {
                 Fetched::Failed(_) => {
                     // The entrypoint-only table re-reads the memoized
                     // unwind. Not `degraded` by itself.
-                    self.metrics.bump_rulesetc_fallback();
+                    self.metrics.bump(Counter::RulesetcFallback);
                     let eptspc = self.snap.input_ept_dispatch();
                     return self.run_input_dispatch(eptspc, false, pkt, op);
                 }
@@ -1114,7 +1108,7 @@ impl<'a> Invocation<'a> {
             None
         };
         if rulesetc {
-            self.metrics.bump_rulesetc_dispatch();
+            self.metrics.bump(Counter::RulesetcDispatch);
         }
         let merged = dispatch.select(op, label, ept).map(|i| (i, &input[i]));
         self.run_seq(&ChainName::Input, merged, pkt, op, 0)
@@ -1156,7 +1150,7 @@ impl<'a> Invocation<'a> {
         const MAX_DEPTH: u32 = 16;
         for (index, rule) in rules {
             self.hops += 1;
-            self.metrics.bump_rules();
+            self.metrics.bump(Counter::RulesEvaluated);
             self.metrics.rule_evaluated(chain, index);
             let eval = self.rule_matches(rule, pkt, op, chain);
             let fired = !matches!(eval, RuleEval::NoMatch);
@@ -1186,7 +1180,7 @@ impl<'a> Invocation<'a> {
                     // Fail closed: a selector's context fetch failed and
                     // the governing policy is `drop`. The deny is
                     // attributed to this rule and flagged degraded.
-                    self.metrics.bump_drops();
+                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
                     return Some(self.deny(chain, index, true));
                 }
@@ -1200,12 +1194,12 @@ impl<'a> Invocation<'a> {
             }
             match &rule.target {
                 Target::Drop => {
-                    self.metrics.bump_drops();
+                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, LogTag::Static("DROP"), Verdict::Deny);
                     return Some(self.deny(chain, index, self.degraded));
                 }
                 Target::Accept => {
-                    self.metrics.bump_accepts();
+                    self.metrics.bump(Counter::Accepts);
                     if self.event_id != 0 {
                         // `as_str` avoids the `name()` allocation; only
                         // sampled invocations pay even the hash.
@@ -1224,7 +1218,7 @@ impl<'a> Invocation<'a> {
                         // The target chain never got its say: surface
                         // the truncation instead of silently pretending
                         // the traversal was complete.
-                        self.metrics.bump_jump_depth_exceeded();
+                        self.metrics.bump(Counter::JumpDepthExceeded);
                         self.degraded = true;
                         self.emit_log(pkt, op, LogTag::Static("JUMPDEPTH"), Verdict::Allow);
                     }
@@ -1287,7 +1281,7 @@ impl<'a> Invocation<'a> {
                 // not turn a rate limit into an unconditional allow.
                 return match self.on_ctx_failure(rule, chain) {
                     CtxPolicy::Drop => {
-                        self.metrics.bump_drops();
+                        self.metrics.bump(Counter::Drops);
                         self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
                         Some(self.deny(chain, index, true))
                     }
@@ -1321,8 +1315,20 @@ impl<'a> Invocation<'a> {
             return None;
         }
         match &rule.target {
-            Target::RateLimit { .. } => self.metrics.bump_ratelimit_throttled(op, chain, index),
-            Target::Quota { .. } => self.metrics.bump_quota_exceeded(op, chain, index),
+            Target::RateLimit { .. } => self.metrics.bump_throttled(
+                Counter::RatelimitThrottled,
+                OpCounter::RatelimitThrottled,
+                op,
+                chain,
+                index,
+            ),
+            Target::Quota { .. } => self.metrics.bump_throttled(
+                Counter::QuotaExceeded,
+                OpCounter::QuotaExceeded,
+                op,
+                chain,
+                index,
+            ),
             _ => {}
         }
         self.throttle_exceeded(rule, chain, index, pkt, op, exceed)
@@ -1348,7 +1354,7 @@ impl<'a> Invocation<'a> {
         };
         match exceed {
             ExceedPolicy::Drop => {
-                self.metrics.bump_drops();
+                self.metrics.bump(Counter::Drops);
                 self.emit_log(pkt, op, tag, Verdict::Deny);
                 Some(self.deny(chain, index, self.degraded))
             }
@@ -1613,8 +1619,10 @@ fn log_record(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::CtxField;
     use crate::env::{ObjectInfo, SignalInfo};
     use crate::lang::parse_rule;
+    use crate::metrics::FieldCounter;
     use crate::session::TaskSession;
     use pf_mac::ubuntu_mini;
     use pf_types::{DeviceId, Gid, InodeNum, Mode, Pid, ProgramId, ResourceId, SecId, Uid};
@@ -1789,7 +1797,7 @@ mod tests {
         install(&pf, &mut env, "pftables -o FILE_OPEN -j DROP");
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Allow);
-        assert_eq!(pf.stats().invocations(), 0);
+        assert_eq!(pf.metrics().invocations(), 0);
     }
 
     #[test]
@@ -2051,7 +2059,7 @@ mod tests {
             pf.evaluate(&mut env, LsmOperation::FileOpen).verdict,
             Verdict::Allow
         );
-        assert_eq!(pf.stats().accepts(), 1);
+        assert_eq!(pf.metrics().accepts(), 1);
     }
 
     #[test]
@@ -2063,13 +2071,13 @@ mod tests {
             pf.evaluate(&mut env, LsmOperation::FileOpen).verdict,
             Verdict::Allow
         );
-        let logs = pf.take_logs();
+        let logs = pf.drain_logs().entries;
         assert_eq!(logs.len(), 1);
         assert_eq!(logs[0].object, "tmp_t");
         assert_eq!(logs[0].ept_pc, 0x100);
         assert!(logs[0].adv_write);
         assert_eq!(logs[0].tag, "trace");
-        assert_eq!(pf.log_count(), 0, "take_logs drains");
+        assert_eq!(pf.log_count(), 0, "the drain empties the sink");
     }
 
     /// A record holds what was true when the hook ran, whatever happens
@@ -2096,7 +2104,7 @@ mod tests {
         let d = pf.evaluate(&mut env, LsmOperation::FileWrite);
         assert_eq!(d.verdict, Verdict::Deny);
 
-        let logs = pf.take_logs();
+        let logs = pf.drain_logs().entries;
         assert_eq!(
             logs.len(),
             4,
@@ -2138,7 +2146,7 @@ mod tests {
         let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
         install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
         pf.evaluate(&mut env, LsmOperation::FileOpen);
-        let logs = pf.take_logs();
+        let logs = pf.drain_logs().entries;
         assert_eq!(logs.len(), 1);
         assert_eq!(logs[0].verdict, "DENY");
     }
@@ -2367,7 +2375,7 @@ mod tests {
             pf.evaluate(&mut env, LsmOperation::FileOpen);
         }
         assert_eq!(env.unwind_count, 1, "entrypoint served from task cache");
-        assert!(pf.stats().cache_hits() >= 2);
+        assert!(pf.metrics().cache_hits() >= 2);
     }
 
     #[test]
@@ -2388,10 +2396,10 @@ mod tests {
         };
         let pf_full = mk(OptLevel::Full, &mut env);
         pf_full.evaluate(&mut env, LsmOperation::FileOpen);
-        let full_rules = pf_full.stats().rules_evaluated();
+        let full_rules = pf_full.metrics().rules_evaluated();
         let pf_ept = mk(OptLevel::EptSpc, &mut env);
         pf_ept.evaluate(&mut env, LsmOperation::FileOpen);
-        let ept_rules = pf_ept.stats().rules_evaluated();
+        let ept_rules = pf_ept.metrics().rules_evaluated();
         assert_eq!(full_rules, 50);
         assert_eq!(ept_rules, 0, "no chain for this entrypoint");
     }
@@ -2600,7 +2608,7 @@ mod tests {
         pf.evaluate(&mut env, LsmOperation::FileWrite);
         // LOG then DROP in the same invocation: patched to DENY.
         pf.evaluate(&mut env, LsmOperation::FileOpen);
-        let logs = pf.take_logs();
+        let logs = pf.drain_logs().entries;
         let w = logs.iter().find(|e| e.tag == "w").unwrap();
         let o = logs.iter().find(|e| e.tag == "o").unwrap();
         assert_eq!(w.verdict, "ALLOW", "earlier invocation is untouched");
@@ -2695,7 +2703,7 @@ mod tests {
             assert_eq!(pf.metrics().degraded_allows(), 0);
             assert_eq!(
                 pf.metrics()
-                    .field_failures(crate::context::CtxField::Entrypoint),
+                    .by_field(FieldCounter::Failures, CtxField::Entrypoint),
                 1
             );
         }
@@ -2798,7 +2806,7 @@ mod tests {
         assert!(d.degraded);
         assert!(
             pf.metrics()
-                .field_failures(crate::context::CtxField::ObjectSid)
+                .by_field(FieldCounter::Failures, CtxField::ObjectSid)
                 >= 1
         );
     }
@@ -2902,6 +2910,54 @@ mod tests {
         );
     }
 
+    /// The LOG sink and the TRACE ring export the same accounting, and
+    /// after both wrap, `emitted == drained + dropped + buffered` reads
+    /// back from each stream in both formats.
+    #[test]
+    fn ring_accounting_reads_back_from_both_exporters() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        install(&pf, &mut env, "pftables -o FILE_OPEN -j TRACE");
+        install(&pf, &mut env, "pftables -o FILE_OPEN -j LOG");
+        pf.set_log_capacity(16);
+        // Two hops per hook: each half of the run wraps the TRACE ring.
+        let hooks = crate::metrics::TRACE_RING_CAP;
+        for i in 0..2 * hooks {
+            if i == hooks {
+                pf.drain_logs();
+                pf.drain_trace();
+            }
+            pf.evaluate(&mut env, LsmOperation::FileOpen);
+        }
+        let (prom, json) = (pf.render_prometheus(), pf.to_json());
+        for (prefix, key) in [("pf_logs", "logs"), ("pf_trace_events", "trace")] {
+            let sample = |name: &str| -> u64 {
+                let line = format!("{prefix}_{name} ");
+                let v = prom.lines().find_map(|l| l.strip_prefix(&line));
+                v.expect("sample exported").parse().unwrap()
+            };
+            let names = [
+                "emitted_total",
+                "drained_total",
+                "dropped_total",
+                "buffered",
+            ];
+            let from_prom = names.map(sample);
+            let object = &json[json.find(&format!("\"{key}\":{{")).unwrap()..];
+            let object = &object[..object.find('}').unwrap()];
+            let member = |name: &str| -> u64 {
+                let v = object.split(&format!("\"{name}\":")).nth(1).unwrap();
+                let end = v.find(|c: char| !c.is_ascii_digit()).unwrap_or(v.len());
+                v[..end].parse().unwrap()
+            };
+            let from_json = ["emitted", "drained", "dropped", "buffered"].map(member);
+            assert_eq!(from_prom, from_json, "{key}: both formats agree");
+            let [emitted, drained, dropped, buffered] = from_prom;
+            assert!(drained > 0 && dropped > 0, "{key} was drained and wrapped");
+            assert_eq!(emitted, drained + dropped + buffered, "{key}");
+        }
+    }
+
     // --- poisoned-lock recovery (satellite 1) ---
 
     #[test]
@@ -2922,7 +2978,7 @@ mod tests {
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Allow);
         assert_eq!(pf.log_count(), 2);
-        assert_eq!(pf.take_logs().len(), 2);
+        assert_eq!(pf.drain_logs().entries.len(), 2);
         assert_eq!(pf.log_count(), 0);
     }
 
@@ -3031,7 +3087,7 @@ mod tests {
         assert_eq!(d.verdict, Verdict::Allow);
         assert!(d.degraded, "a truncated traversal is degraded");
         assert_eq!(pf.metrics().jump_depth_exceeded(), 1);
-        let logs = pf.take_logs();
+        let logs = pf.drain_logs().entries;
         assert_eq!(logs.len(), 1);
         assert_eq!(logs[0].tag, "JUMPDEPTH");
         assert_eq!(pf.metrics().degraded_allows(), 1);
@@ -3060,7 +3116,7 @@ mod tests {
         );
         // The hit renders the deny log from the live invocation: both
         // invocations are audited.
-        let logs = pf.take_logs();
+        let logs = pf.drain_logs().entries;
         assert_eq!(logs.len(), 2);
         assert!(logs.iter().all(|e| e.verdict == "DENY" && e.tag == "DROP"));
         // Default-allow outcomes cache too, and the verdict counters

@@ -41,9 +41,10 @@
 //!   entrypoint) bucket tables built at snapshot compile time, walked
 //!   as an order-preserving k-way merge on the verdict-cache miss path;
 //! * [`log`] is the LOG target's JSON record, consumed by `pf-rulegen`;
-//! * [`metrics`] is the observability registry: the legacy counters,
-//!   per-rule/per-operation/per-field detail, latency histograms, the
-//!   TRACE event ring, and the Prometheus/JSON exporters (see
+//! * [`metrics`] is the observability registry: the counter table
+//!   (always-on totals, per-operation and per-field rows), per-rule
+//!   detail, latency histograms, the TRACE event ring, and the
+//!   Prometheus/JSON/summary exporters that walk the table (see
 //!   `docs/OBSERVABILITY.md`) — all thread-safe, with sharded latency
 //!   histograms merged on export;
 //! * [`events`] is the decision-event tracing plane: per-shard
@@ -94,7 +95,6 @@ pub mod ring;
 pub mod rule;
 pub mod session;
 pub mod snapshot;
-pub mod stats;
 pub mod value;
 pub mod vcache;
 
@@ -111,12 +111,11 @@ pub use events::{
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultyEnv};
 pub use lang::render_rule;
 pub use log::{LogDrain, LogEntry, LogSink, DEFAULT_LOG_CAPACITY};
-pub use metrics::{ChainSnapshot, Histogram, Metrics, ShardedHistogram, TraceEvent};
+pub use metrics::{ChainSnapshot, FieldCounter, Histogram, Metrics, ShardedHistogram, TraceEvent};
 pub use ratelimit::{ExceedPolicy, PerKey, ThrottleCell, ThrottleSlotState};
 pub use render::render_rules;
 pub use rule::{CtxPolicy, MatchModule, Rule, Target};
 pub use session::TaskSession;
 pub use snapshot::{RulesetSnapshot, SharedRuleset};
-pub use stats::PfStats;
 pub use value::{state_key, ValueExpr};
 pub use vcache::{VerdictCache, VerdictKey, VerdictKind};

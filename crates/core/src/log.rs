@@ -262,12 +262,6 @@ impl LogSink {
         BoundedRing::new(capacity)
     }
 
-    /// Drains every buffered record, oldest first (no gap marking; see
-    /// [`LogSink::drain`] for the marked flavour).
-    pub fn take(&self) -> Vec<LogEntry> {
-        self.drain().entries
-    }
-
     /// Drains every buffered record and reports whether records were
     /// overwritten since the previous drain. The lock is held only to
     /// swap the buffer out; the records are rendered after it is
@@ -497,7 +491,7 @@ mod tests {
         objectless.tag = LogTag::Static("DROP");
         objectless.verdict = Verdict::Deny;
         sink.push(objectless);
-        let entries = sink.take();
+        let entries = sink.drain().entries;
         assert_eq!(entries[0], entry(), "every field renders as before");
         let e = &entries[1];
         assert_eq!((e.ept_prog.as_str(), e.ept_pc), ("", 0));
@@ -534,7 +528,7 @@ mod tests {
         sink.append(&mut batch);
         assert!(batch.is_empty(), "batch is drained in place");
         assert_eq!(batch.capacity(), cap_before, "scratch keeps its allocation");
-        let got: Vec<u64> = sink.take().iter().map(|e| e.ts).collect();
+        let got: Vec<u64> = sink.drain().entries.iter().map(|e| e.ts).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
         assert_eq!(sink.emitted(), 5);
         assert_eq!(sink.drained(), 5);
@@ -551,7 +545,7 @@ mod tests {
         assert_eq!(sink.capacity(), 3);
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.dropped(), 5);
-        let kept: Vec<u64> = sink.take().iter().map(|e| e.ts).collect();
+        let kept: Vec<u64> = sink.drain().entries.iter().map(|e| e.ts).collect();
         assert_eq!(kept, vec![5, 6, 7]);
         assert_eq!(sink.emitted(), sink.drained() + sink.dropped());
     }

@@ -1,14 +1,18 @@
 //! The metrics-and-tracing registry for the firewall engine.
 //!
-//! [`Metrics`] subsumes the original flat `PfStats` counter block (the
-//! six legacy counters keep their accessors; `crate::stats::PfStats` is
-//! now an alias of this type) and adds the detail layer the evaluation
-//! experiments need:
+//! [`Metrics`] holds the engine's counters and the detail layer the
+//! evaluation experiments need:
 //!
+//! * the **counter table**: every counter is one row of the
+//!   `counter_table!` invocation below — a snake name, a one-line help
+//!   string, a label kind (none, per-[`LsmOperation`] or
+//!   per-[`CtxField`]) and a layer. The rows expand into the [`Counter`],
+//!   [`OpCounter`] and [`FieldCounter`] slot enums, the named accessors,
+//!   and the descriptors that `reset`, the Prometheus and JSON exporters
+//!   and the `name value` summary all walk, so no exporter names a
+//!   counter itself;
 //! * per-rule and per-chain hit/evaluated counters, keyed by chain name
 //!   and rule index — the data behind the `pftables -L -v` listing;
-//! * per-[`LsmOperation`] invocation counts;
-//! * per-[`CtxField`] fetch/hit/miss counters;
 //! * log-linear latency histograms (nanosecond buckets, power-of-two
 //!   octaves split four ways) for whole-hook evaluation and for context
 //!   fetches;
@@ -16,9 +20,9 @@
 //!
 //! The registry is **thread-safe**: the firewall hook runs re-entrantly
 //! from many tasks at once (the paper's LSM hooks run with interrupts
-//! enabled), so every counter is a relaxed atomic and the latency
-//! histograms are *sharded* — each recording thread owns one shard of
-//! atomic buckets, and [`Metrics::eval_latency`]/
+//! enabled), so every counter is a relaxed atomic in a fixed slot and
+//! the latency histograms are *sharded* — each recording thread owns one
+//! shard of atomic buckets, and [`Metrics::eval_latency`]/
 //! [`Metrics::fetch_latency`] merge the shards into one summary
 //! histogram on export. The per-rule counter maps sit behind sharded
 //! mutexes; the TRACE ring is a [`BoundedRing`] of fixed hops, rendered
@@ -27,11 +31,13 @@
 //! The detail layer is gated by [`Metrics::set_detailed`]: with
 //! recording off (the default) every detail hook is a no-op and no
 //! clock is read, which is the baseline the `metrics_overhead` bench
-//! compares against. The six legacy counters, `default_allows`, the
-//! VCACHE totals (`vcache_hits`/`vcache_misses`/`vcache_uncacheable`),
-//! and `jump_depth_exceeded` are always on — they define engine
-//! semantics that existing tests assert; the per-operation VCACHE
-//! splits ride in the detail layer.
+//! compares against. The totals and the per-field failure counts are
+//! always on: they define engine semantics that tests assert (the
+//! verdict partition `drops + accepts + default_allows == invocations`)
+//! or are security signals — a failed fetch, a truncated traversal, a
+//! throttled flood, a taint widening — that must not depend on a
+//! profiling switch. The per-operation splits and the per-field
+//! fetch/hit/miss counts ride in the detail layer.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -169,19 +175,178 @@ impl Default for BoundedRing<TraceHop> {
     }
 }
 
-/// Per-context-field fetch/hit/miss/failure counters.
-#[derive(Debug, Default)]
-struct FieldCounters {
-    /// Context-module invocations for this field.
-    fetches: AtomicU64,
-    /// Fetches served from the per-syscall task cache.
-    hits: AtomicU64,
-    /// Fetches where the field was unavailable for the operation.
-    misses: AtomicU64,
-    /// Fetches that were attempted and *errored* (not merely absent) —
-    /// the degraded case `--ctx-missing` policies govern. Always on:
-    /// failures are security signals, not profiling detail.
-    failures: AtomicU64,
+/// The label a counter-table row carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LabelKind {
+    /// One total.
+    None,
+    /// One value per [`LsmOperation`], labelled `op`.
+    Op,
+    /// One value per [`CtxField`], labelled `field`.
+    Field,
+}
+
+impl LabelKind {
+    /// The Prometheus label name.
+    fn key(self) -> &'static str {
+        match self {
+            LabelKind::None => "",
+            LabelKind::Op => "op",
+            LabelKind::Field => "field",
+        }
+    }
+
+    /// The label value of slot `i`: slots are indexed by `op as usize`
+    /// and `field.bit()`, which are the positions in each `ALL`.
+    fn value(self, i: usize) -> &'static str {
+        match self {
+            LabelKind::None => "",
+            LabelKind::Op => LsmOperation::ALL[i].name(),
+            LabelKind::Field => CtxField::ALL[i].cname(),
+        }
+    }
+}
+
+/// One row of the counter table: the single definition of a counter
+/// that every exporter renders from.
+#[derive(Debug)]
+struct Descriptor {
+    /// Snake name; Prometheus exports it as `pf_<name>_total`.
+    name: &'static str,
+    /// JSON key: in `counters` for a total, the top-level object of an
+    /// operation split, or the key inside each `fields` entry.
+    json: &'static str,
+    /// One-line help, also the row's text in `docs/OBSERVABILITY.md`
+    /// (checked by the doc-table test).
+    #[cfg_attr(not(test), allow(dead_code))]
+    help: &'static str,
+    labels: LabelKind,
+    /// Recorded only while the detail layer is on.
+    detail: bool,
+}
+
+/// Expands the counter rows into the slot enums, their descriptors and
+/// the named accessors of the totals.
+macro_rules! counter_table {
+    (@detail detail) => { true };
+    (@detail always) => { false };
+    (
+        totals { $($c:ident $name:ident $(pub $writer:ident)?: $help:literal,)* }
+        by_op { $($o:ident $oname:ident $ojson:literal: $ohelp:literal,)* }
+        by_field { $($f:ident $fname:ident $fjson:literal $layer:ident: $fhelp:literal,)* }
+    ) => {
+        /// An always-on total: its slot in [`Metrics`]' counter table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum Counter { $(#[doc = $help] $c,)* }
+
+        /// A per-operation split (detail layer): its row in the table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum OpCounter { $(#[doc = $ohelp] $o,)* }
+
+        /// A per-context-field counter: its row in the table.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum FieldCounter { $(#[doc = $fhelp] $f,)* }
+
+        const NUM_TOTALS: usize = [$(stringify!($c)),*].len();
+        const NUM_OP_ROWS: usize = [$(stringify!($o)),*].len();
+        const NUM_FIELD_ROWS: usize = [$(stringify!($f)),*].len();
+
+        #[cfg(test)]
+        impl Counter { const ALL: [Counter; NUM_TOTALS] = [$(Counter::$c),*]; }
+        #[cfg(test)]
+        impl OpCounter { const ALL: [OpCounter; NUM_OP_ROWS] = [$(OpCounter::$o),*]; }
+        #[cfg(test)]
+        impl FieldCounter { const ALL: [FieldCounter; NUM_FIELD_ROWS] = [$(FieldCounter::$f),*]; }
+
+        const TOTALS: [Descriptor; NUM_TOTALS] = [$(Descriptor {
+            name: stringify!($name),
+            json: stringify!($name),
+            help: $help,
+            labels: LabelKind::None,
+            detail: false,
+        },)*];
+
+        const OP_ROWS: [Descriptor; NUM_OP_ROWS] = [$(Descriptor {
+            name: stringify!($oname),
+            json: $ojson,
+            help: $ohelp,
+            labels: LabelKind::Op,
+            detail: true,
+        },)*];
+
+        const FIELD_ROWS: [Descriptor; NUM_FIELD_ROWS] = [$(Descriptor {
+            name: stringify!($fname),
+            json: $fjson,
+            help: $fhelp,
+            labels: LabelKind::Field,
+            detail: counter_table!(@detail $layer),
+        },)*];
+
+        /// Each total's named accessor, in table order.
+        #[cfg(test)]
+        const ACCESSORS: [fn(&Metrics) -> u64; NUM_TOTALS] = [$(Metrics::$name),*];
+
+        impl Metrics {
+            $(
+                #[doc = $help]
+                pub fn $name(&self) -> u64 {
+                    load(&self.totals[Counter::$c as usize])
+                }
+
+                $(
+                    #[doc = concat!("Counts one `", stringify!($name), "` event. Public: the OS")]
+                    /// substrate observes these and reports them here.
+                    #[inline]
+                    pub fn $writer(&self) {
+                        self.bump(Counter::$c);
+                    }
+                )?
+            )*
+        }
+    };
+}
+
+counter_table! {
+    totals {
+        Invocations invocations: "Firewall hook invocations.",
+        RulesEvaluated rules_evaluated: "Rules whose match evaluation started.",
+        CtxFetches ctx_fetches: "Context-module fetches performed.",
+        CacheHits cache_hits: "Context fetches served from the per-syscall cache.",
+        Drops drops: "DROP verdicts returned.",
+        Accepts accepts: "Explicit ACCEPT verdicts returned (default allows not counted).",
+        DefaultAllows default_allows: "Invocations that fell through every rule to the default ALLOW.",
+        DegradedDrops degraded_drops: "Denies issued after a context fetch failed (a subset of drops).",
+        DegradedAllows degraded_allows: "Allows issued after a context fetch failed.",
+        VcacheHits vcache_hits: "Verdicts served from a per-task VCACHE cache without a walk.",
+        VcacheMisses vcache_misses: "Cache-eligible walks that ran and were inserted.",
+        VcacheUncacheable vcache_uncacheable: "Invocations the verdict cache stood aside for.",
+        JumpDepthExceeded jump_depth_exceeded: "Jumps skipped at the traversal depth limit.",
+        RatelimitThrottled ratelimit_throttled: "Accesses rejected by a RATELIMIT token bucket.",
+        QuotaExceeded quota_exceeded: "Accesses rejected by a QUOTA windowed counter.",
+        RulesetcDispatch rulesetc_dispatch: "Input-chain walks served through the RULESETC dispatch tables.",
+        RulesetcFallback rulesetc_fallback: "RULESETC walks that fell back to a wider walk after a failed fetch.",
+        OriginTransitions origin_transitions pub bump_origin_transition: "Monotone origin (taint) raises observed on processes.",
+        OriginWidened origin_widened pub bump_origin_widened: "Subject labels whose origin crossed the taint threshold, once per label.",
+        OriginVcacheInvalidations origin_vcache_invalidations: "Non-empty verdict caches discarded because the adversary generation moved.",
+    }
+    by_op {
+        Invocations op_invocations "ops": "Hook invocations, by operation.",
+        VcacheHits vcache_op_hits "vcache_op_hits": "VCACHE hits, by operation.",
+        VcacheMisses vcache_op_misses "vcache_op_misses": "VCACHE misses, by operation.",
+        VcacheUncacheable vcache_op_uncacheable "vcache_op_uncacheable": "VCACHE bypasses, by operation.",
+        RatelimitThrottled ratelimit_op_throttled "ratelimit_op_throttled": "RATELIMIT rejections, by operation.",
+        QuotaExceeded quota_op_exceeded "quota_op_exceeded": "QUOTA rejections, by operation.",
+    }
+    by_field {
+        Fetches ctx_field_fetches "fetches" detail: "Context-module invocations for the field.",
+        Hits ctx_field_hits "hits" detail: "Fetches of the field served from the per-syscall cache.",
+        Misses ctx_field_misses "misses" detail: "Fetches where the field was absent for the operation.",
+        Failures ctx_field_failures "failures" always: "Fetches of the field that errored (the `--ctx-missing` case).",
+    }
+}
+
+fn load(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
 }
 
 /// Per-rule evaluated/hit tallies for one chain, indexed by rule index.
@@ -367,7 +532,12 @@ impl Histogram {
 
     /// Approximate `p`-th percentile (`0.0 ..= 1.0`): the upper bound of
     /// the bucket containing that rank, clamped to the recorded maximum.
+    ///
+    /// # Panics
+    ///
+    /// If `p` is outside `0.0 ..= 1.0` — p99.9 is `0.999`, not `99.9`.
     pub fn percentile(&self, p: f64) -> u64 {
+        assert!((0.0..=1.0).contains(&p), "percentile {p} outside 0.0..=1.0");
         let n = self.count();
         if n == 0 {
             return 0;
@@ -466,72 +636,13 @@ impl ShardedHistogram {
 /// The engine's metrics registry. See the module docs for the layout.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    // --- legacy counters (always on; semantics asserted by tests) ---
-    invocations: AtomicU64,
-    rules_evaluated: AtomicU64,
-    ctx_fetches: AtomicU64,
-    cache_hits: AtomicU64,
-    drops: AtomicU64,
-    accepts: AtomicU64,
-    /// Invocations that fell through every rule to the default-ALLOW
-    /// policy (explicit ACCEPTs are counted separately in `accepts`).
-    default_allows: AtomicU64,
-    /// Denies issued while the invocation was degraded (a context fetch
-    /// failed). Always on, like the verdict counters they refine.
-    degraded_drops: AtomicU64,
-    /// Allows issued while the invocation was degraded — each one is a
-    /// place where a failed fetch *could* have masked an invariant.
-    degraded_allows: AtomicU64,
-    /// Verdicts served from a per-task VCACHE cache without a walk.
-    vcache_hits: AtomicU64,
-    /// Cache-eligible walks that ran and were inserted.
-    vcache_misses: AtomicU64,
-    /// Invocations the cache had to stand aside for: a key field failed
-    /// to fetch, the walk was degraded, or a traversed rule consulted
-    /// context outside the key / carried a side-effecting target.
-    vcache_uncacheable: AtomicU64,
-    /// Jumps skipped because the traversal hit the depth limit — each
-    /// one is a chain that never got its say. Always on: like fetch
-    /// failures, a truncated traversal is a security signal.
-    jump_depth_exceeded: AtomicU64,
-    /// Accesses rejected by a RATELIMIT token bucket. Always on: a
-    /// throttled flood is a security signal, not a profiling detail.
-    ratelimit_throttled: AtomicU64,
-    /// Accesses rejected by a QUOTA windowed counter. Always on.
-    quota_exceeded: AtomicU64,
-    /// Input-chain walks served through the RULESETC compiled dispatch
-    /// tables. Always on: together with `rulesetc_fallback` it proves
-    /// (or disproves) that the compiled path is actually taken.
-    rulesetc_dispatch: AtomicU64,
-    /// RULESETC walks that could not use the index because a dimension
-    /// fetch *failed* (entrypoint → full-chain walk, object label →
-    /// EPTSPC walk). Always on: a rising rate means the fast path is
-    /// being starved by fetch failures — a security *and* perf signal.
-    rulesetc_fallback: AtomicU64,
-    /// Monotone origin (taint) raises observed on processes — every
-    /// time a subject's origin label actually went up. Always on: each
-    /// transition is a step toward (or past) the taint threshold.
-    origin_transitions: AtomicU64,
-    /// Subject labels whose origin crossed the taint threshold,
-    /// dynamically widening adversary accessibility (one count per
-    /// label, the first time only). Always on: a widening rewrites the
-    /// adversary model at runtime — the headline security signal of the
-    /// origin layer.
-    origin_widened: AtomicU64,
-    /// Per-task verdict caches discarded because the adversary-model
-    /// generation moved (taint widening or policy edit) while they held
-    /// entries. Always on, and exact: an empty cache observing a bump
-    /// is not counted.
-    origin_vcache_invalidations: AtomicU64,
-    // --- detail layer (gated by `detailed`) ---
+    /// The always-on totals, by [`Counter`].
+    totals: [AtomicU64; NUM_TOTALS],
+    /// The per-operation splits, by [`OpCounter`] then `op as usize`.
+    ops: [[AtomicU64; NUM_OPS]; NUM_OP_ROWS],
+    /// The per-field counters, by [`FieldCounter`] then `field.bit()`.
+    fields: [[AtomicU64; NUM_FIELDS]; NUM_FIELD_ROWS],
     detailed: AtomicBool,
-    per_op: PerOp,
-    vcache_hits_op: PerOp,
-    vcache_misses_op: PerOp,
-    vcache_uncacheable_op: PerOp,
-    ratelimit_throttled_op: PerOp,
-    quota_exceeded_op: PerOp,
-    fields: PerField,
     chains: ChainShards,
     /// When set, every per-rule recorder uses shard 0 — the pre-shard
     /// single-lock behaviour. A bench/regression knob
@@ -543,24 +654,6 @@ pub struct Metrics {
     trace: BoundedRing<TraceHop>,
 }
 
-#[derive(Debug)]
-struct PerOp([AtomicU64; NUM_OPS]);
-
-impl Default for PerOp {
-    fn default() -> Self {
-        PerOp(std::array::from_fn(|_| AtomicU64::new(0)))
-    }
-}
-
-#[derive(Debug)]
-struct PerField([FieldCounters; NUM_FIELDS]);
-
-impl Default for PerField {
-    fn default() -> Self {
-        PerField(std::array::from_fn(|_| FieldCounters::default()))
-    }
-}
-
 impl Metrics {
     /// Creates a zeroed registry with detail recording off.
     pub fn new() -> Self {
@@ -570,43 +663,9 @@ impl Metrics {
     /// Resets every counter, histogram, and the trace ring. The detail
     /// recording flag is preserved.
     pub fn reset(&self) {
-        self.invocations.store(0, Ordering::Relaxed);
-        self.rules_evaluated.store(0, Ordering::Relaxed);
-        self.ctx_fetches.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.drops.store(0, Ordering::Relaxed);
-        self.accepts.store(0, Ordering::Relaxed);
-        self.default_allows.store(0, Ordering::Relaxed);
-        self.degraded_drops.store(0, Ordering::Relaxed);
-        self.degraded_allows.store(0, Ordering::Relaxed);
-        self.vcache_hits.store(0, Ordering::Relaxed);
-        self.vcache_misses.store(0, Ordering::Relaxed);
-        self.vcache_uncacheable.store(0, Ordering::Relaxed);
-        self.jump_depth_exceeded.store(0, Ordering::Relaxed);
-        self.ratelimit_throttled.store(0, Ordering::Relaxed);
-        self.quota_exceeded.store(0, Ordering::Relaxed);
-        self.rulesetc_dispatch.store(0, Ordering::Relaxed);
-        self.rulesetc_fallback.store(0, Ordering::Relaxed);
-        self.origin_transitions.store(0, Ordering::Relaxed);
-        self.origin_widened.store(0, Ordering::Relaxed);
-        self.origin_vcache_invalidations.store(0, Ordering::Relaxed);
-        for per_op in [
-            &self.per_op,
-            &self.vcache_hits_op,
-            &self.vcache_misses_op,
-            &self.vcache_uncacheable_op,
-            &self.ratelimit_throttled_op,
-            &self.quota_exceeded_op,
-        ] {
-            for c in &per_op.0 {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-        for f in &self.fields.0 {
-            f.fetches.store(0, Ordering::Relaxed);
-            f.hits.store(0, Ordering::Relaxed);
-            f.misses.store(0, Ordering::Relaxed);
-            f.failures.store(0, Ordering::Relaxed);
+        let (ops, fields) = (self.ops.as_flattened(), self.fields.as_flattened());
+        for c in self.totals.iter().chain(ops).chain(fields) {
+            c.store(0, Ordering::Relaxed);
         }
         for shard in &self.chains.0 {
             shard
@@ -672,138 +731,51 @@ impl Metrics {
         self.detailed.load(Ordering::Relaxed)
     }
 
-    // --- legacy bump API (kept from `PfStats`) ---
+    // --- counter-table writers: one relaxed add on a fixed slot ---
 
     #[inline]
-    pub(crate) fn bump_invocations(&self) {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(&self, c: Counter) {
+        self.totals[c as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
-    pub(crate) fn bump_rules(&self) {
-        self.rules_evaluated.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_ctx_fetches(&self) {
-        self.ctx_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_cache_hits(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_drops(&self) {
-        self.drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_accepts(&self) {
-        self.accepts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_default_allows(&self) {
-        self.default_allows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_degraded_drops(&self) {
-        self.degraded_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_degraded_allows(&self) {
-        self.degraded_allows.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // --- VCACHE / traversal-truncation counters (always on) ---
-
-    #[inline]
-    pub(crate) fn bump_vcache_hit(&self, op: LsmOperation) {
-        self.vcache_hits.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump_op(&self, c: OpCounter, op: LsmOperation) {
         if self.detailed() {
-            self.vcache_hits_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
+            self.ops[c as usize][op as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
 
+    /// Bumps an always-on total and, in the detail layer, its
+    /// per-operation split.
     #[inline]
-    pub(crate) fn bump_vcache_miss(&self, op: LsmOperation) {
-        self.vcache_misses.fetch_add(1, Ordering::Relaxed);
-        if self.detailed() {
-            self.vcache_misses_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump_split(&self, total: Counter, split: OpCounter, op: LsmOperation) {
+        self.bump(total);
+        self.bump_op(split, op);
+    }
+
+    /// Bumps a per-field counter; a detail-layer row records only while
+    /// the detail layer is on. `c` is a constant at every call site, so
+    /// the row lookup folds away.
+    #[inline]
+    pub(crate) fn bump_field(&self, c: FieldCounter, field: CtxField) {
+        if !FIELD_ROWS[c as usize].detail || self.detailed() {
+            self.fields[c as usize][field.bit() as usize].fetch_add(1, Ordering::Relaxed);
         }
     }
 
+    /// Counts one RATELIMIT/QUOTA rejection: the always-on total, and in
+    /// the detail layer its per-operation split and the rule's tally.
     #[inline]
-    pub(crate) fn bump_vcache_uncacheable(&self, op: LsmOperation) {
-        self.vcache_uncacheable.fetch_add(1, Ordering::Relaxed);
-        if self.detailed() {
-            self.vcache_uncacheable_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn bump_jump_depth_exceeded(&self) {
-        self.jump_depth_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_rulesetc_dispatch(&self) {
-        self.rulesetc_dispatch.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_rulesetc_fallback(&self) {
-        self.rulesetc_fallback.fetch_add(1, Ordering::Relaxed);
-    }
-
-    // --- origin (taint) counters (always on) ---
-
-    /// Records one monotone origin raise on a process. Public: the OS
-    /// substrate performs propagation (reads, exec, IPC) and reports it
-    /// here.
-    #[inline]
-    pub fn bump_origin_transition(&self) {
-        self.origin_transitions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one subject label crossing the taint threshold (first
-    /// time only — callers gate on `MacPolicy::taint_subject`'s return).
-    #[inline]
-    pub fn bump_origin_widened(&self) {
-        self.origin_widened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn bump_origin_vcache_invalidation(&self) {
-        self.origin_vcache_invalidations
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    // --- throttle counters (always-on totals, detail splits) ---
-
-    #[inline]
-    pub(crate) fn bump_ratelimit_throttled(
+    pub(crate) fn bump_throttled(
         &self,
+        total: Counter,
+        split: OpCounter,
         op: LsmOperation,
         chain: &ChainName,
         index: usize,
     ) {
-        self.ratelimit_throttled.fetch_add(1, Ordering::Relaxed);
+        self.bump_split(total, split, op);
         if self.detailed() {
-            self.ratelimit_throttled_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-            self.rule_throttled_slow(chain, index);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn bump_quota_exceeded(&self, op: LsmOperation, chain: &ChainName, index: usize) {
-        self.quota_exceeded.fetch_add(1, Ordering::Relaxed);
-        if self.detailed() {
-            self.quota_exceeded_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
             self.rule_throttled_slow(chain, index);
         }
     }
@@ -816,151 +788,20 @@ impl Metrics {
         c.throttled[index] += 1;
     }
 
-    // --- legacy accessors (kept from `PfStats`) ---
+    // --- counter-table readers (totals: the generated accessors) ---
 
-    /// Firewall hook invocations.
-    pub fn invocations(&self) -> u64 {
-        self.invocations.load(Ordering::Relaxed)
+    /// One field's value of a per-field counter.
+    pub fn by_field(&self, c: FieldCounter, field: CtxField) -> u64 {
+        load(&self.fields[c as usize][field.bit() as usize])
     }
 
-    /// Rules whose match evaluation started.
-    pub fn rules_evaluated(&self) -> u64 {
-        self.rules_evaluated.load(Ordering::Relaxed)
-    }
-
-    /// Context-module fetches performed.
-    pub fn ctx_fetches(&self) -> u64 {
-        self.ctx_fetches.load(Ordering::Relaxed)
-    }
-
-    /// Context fetches satisfied from the per-syscall cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// DROP verdicts returned.
-    pub fn drops(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-
-    /// Explicit ACCEPT verdicts returned (default allows not counted).
-    pub fn accepts(&self) -> u64 {
-        self.accepts.load(Ordering::Relaxed)
-    }
-
-    /// Invocations resolved by the implicit default-ALLOW policy.
-    ///
-    /// Every invocation ends one of three ways, so
-    /// `drops + accepts + default_allows == invocations` holds.
-    pub fn default_allows(&self) -> u64 {
-        self.default_allows.load(Ordering::Relaxed)
-    }
-
-    /// DROP (or CTXFAIL) verdicts issued while the invocation was
-    /// degraded by a failed context fetch. A subset of
-    /// [`Metrics::drops`].
-    pub fn degraded_drops(&self) -> u64 {
-        self.degraded_drops.load(Ordering::Relaxed)
-    }
-
-    /// Allow verdicts (explicit or default) issued while the invocation
-    /// was degraded by a failed context fetch.
-    pub fn degraded_allows(&self) -> u64 {
-        self.degraded_allows.load(Ordering::Relaxed)
-    }
-
-    /// Verdicts served from a per-task VCACHE cache without a walk.
-    pub fn vcache_hits(&self) -> u64 {
-        self.vcache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache-eligible walks that ran and were inserted for next time.
-    pub fn vcache_misses(&self) -> u64 {
-        self.vcache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Cache-bypassed invocations (failed key fetch, degraded walk, or
-    /// a rule outside the cacheable fragment on the path).
-    pub fn vcache_uncacheable(&self) -> u64 {
-        self.vcache_uncacheable.load(Ordering::Relaxed)
-    }
-
-    /// Jumps skipped at the traversal depth limit.
-    pub fn jump_depth_exceeded(&self) -> u64 {
-        self.jump_depth_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// `(hits, misses, uncacheable)` VCACHE counts for one operation
-    /// (detail layer).
-    pub fn vcache_op_counts(&self, op: LsmOperation) -> (u64, u64, u64) {
+    /// `(fetches, cache_hits, misses)` for one context field.
+    pub fn field_counts(&self, field: CtxField) -> (u64, u64, u64) {
         (
-            self.vcache_hits_op.0[op as usize].load(Ordering::Relaxed),
-            self.vcache_misses_op.0[op as usize].load(Ordering::Relaxed),
-            self.vcache_uncacheable_op.0[op as usize].load(Ordering::Relaxed),
+            self.by_field(FieldCounter::Fetches, field),
+            self.by_field(FieldCounter::Hits, field),
+            self.by_field(FieldCounter::Misses, field),
         )
-    }
-
-    /// Accesses rejected by a RATELIMIT token bucket (regardless of
-    /// the rule's `--exceed` policy).
-    pub fn ratelimit_throttled(&self) -> u64 {
-        self.ratelimit_throttled.load(Ordering::Relaxed)
-    }
-
-    /// Accesses rejected by a QUOTA windowed counter.
-    pub fn quota_exceeded(&self) -> u64 {
-        self.quota_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// Input-chain walks served through the RULESETC compiled dispatch
-    /// tables.
-    pub fn rulesetc_dispatch(&self) -> u64 {
-        self.rulesetc_dispatch.load(Ordering::Relaxed)
-    }
-
-    /// RULESETC walks that fell back to a full or EPTSPC walk because a
-    /// dimension fetch failed.
-    pub fn rulesetc_fallback(&self) -> u64 {
-        self.rulesetc_fallback.load(Ordering::Relaxed)
-    }
-
-    /// Monotone origin (taint) raises observed on processes.
-    pub fn origin_transitions(&self) -> u64 {
-        self.origin_transitions.load(Ordering::Relaxed)
-    }
-
-    /// Subject labels whose origin crossed the taint threshold (one per
-    /// label: adversary-accessibility widenings).
-    pub fn origin_widened(&self) -> u64 {
-        self.origin_widened.load(Ordering::Relaxed)
-    }
-
-    /// Per-task verdict caches discarded because the adversary-model
-    /// generation moved while they held entries.
-    pub fn origin_vcache_invalidations(&self) -> u64 {
-        self.origin_vcache_invalidations.load(Ordering::Relaxed)
-    }
-
-    /// `(ratelimit_throttled, quota_exceeded)` for one operation
-    /// (detail layer).
-    pub fn throttle_op_counts(&self, op: LsmOperation) -> (u64, u64) {
-        (
-            self.ratelimit_throttled_op.0[op as usize].load(Ordering::Relaxed),
-            self.quota_exceeded_op.0[op as usize].load(Ordering::Relaxed),
-        )
-    }
-
-    // --- per-operation counters ---
-
-    #[inline]
-    pub(crate) fn op_invoked(&self, op: LsmOperation) {
-        if self.detailed() {
-            self.per_op.0[op as usize].fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Hook invocations for one operation (detail layer).
-    pub fn op_invocations(&self, op: LsmOperation) -> u64 {
-        self.per_op.0[op as usize].load(Ordering::Relaxed)
     }
 
     // --- per-rule / per-chain counters ---
@@ -1021,62 +862,6 @@ impl Metrics {
         seen.into_iter().collect()
     }
 
-    // --- per-field counters ---
-
-    #[inline]
-    pub(crate) fn field_fetch(&self, field: CtxField) {
-        if self.detailed() {
-            self.fields.0[field.bit() as usize]
-                .fetches
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn field_hit(&self, field: CtxField) {
-        if self.detailed() {
-            self.fields.0[field.bit() as usize]
-                .hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn field_miss(&self, field: CtxField) {
-        if self.detailed() {
-            self.fields.0[field.bit() as usize]
-                .misses
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a *failed* fetch of one context field. Always on —
-    /// unlike the profiling counters, a fetch failure is a security
-    /// signal (the condition `--ctx-missing` policies arbitrate).
-    #[inline]
-    pub(crate) fn field_failure(&self, field: CtxField) {
-        self.fields.0[field.bit() as usize]
-            .failures
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Failed fetches recorded for one context field.
-    pub fn field_failures(&self, field: CtxField) -> u64 {
-        self.fields.0[field.bit() as usize]
-            .failures
-            .load(Ordering::Relaxed)
-    }
-
-    /// `(fetches, cache_hits, misses)` for one context field.
-    pub fn field_counts(&self, field: CtxField) -> (u64, u64, u64) {
-        let f = &self.fields.0[field.bit() as usize];
-        (
-            f.fetches.load(Ordering::Relaxed),
-            f.hits.load(Ordering::Relaxed),
-            f.misses.load(Ordering::Relaxed),
-        )
-    }
-
     // --- latency histograms ---
 
     /// Starts a timer when the detail layer records; `None` otherwise.
@@ -1098,9 +883,9 @@ impl Metrics {
 
     #[inline]
     pub(crate) fn observe_fetch(&self, field: CtxField, t0: Option<Instant>, missed: bool) {
-        self.field_fetch(field);
+        self.bump_field(FieldCounter::Fetches, field);
         if missed {
-            self.field_miss(field);
+            self.bump_field(FieldCounter::Misses, field);
         }
         if let Some(t0) = t0 {
             self.fetch_ns.record(t0.elapsed().as_nanos() as u64);
@@ -1151,108 +936,37 @@ impl Metrics {
         self.trace.dropped()
     }
 
-    // --- exporters ---
+    // --- exporters: each walks the counter table ---
+
+    /// Every labelled row with its slots: the operation splits, then the
+    /// field counters.
+    fn labelled(&self) -> impl Iterator<Item = (&'static Descriptor, &[AtomicU64])> {
+        let ops = OP_ROWS.iter().zip(self.ops.iter().map(|v| &v[..]));
+        ops.chain(FIELD_ROWS.iter().zip(self.fields.iter().map(|v| &v[..])))
+    }
 
     /// Renders the registry in the Prometheus text exposition format.
     ///
     /// Every line is `name value` or `name{label="v",…} value`; no
     /// comment lines are emitted, so the output parses line-by-line.
+    /// Totals always appear. A labelled sample appears once it is
+    /// nonzero, except that a field's detail counters appear together
+    /// once any of them moved, so a fetched field shows its zero hits.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let _ = writeln!(out, "pf_invocations_total {}", self.invocations());
-        let _ = writeln!(out, "pf_rules_evaluated_total {}", self.rules_evaluated());
-        let _ = writeln!(out, "pf_ctx_fetches_total {}", self.ctx_fetches());
-        let _ = writeln!(out, "pf_cache_hits_total {}", self.cache_hits());
-        let _ = writeln!(out, "pf_drops_total {}", self.drops());
-        let _ = writeln!(out, "pf_accepts_total {}", self.accepts());
-        let _ = writeln!(out, "pf_default_allows_total {}", self.default_allows());
-        let _ = writeln!(out, "pf_degraded_drops_total {}", self.degraded_drops());
-        let _ = writeln!(out, "pf_degraded_allows_total {}", self.degraded_allows());
-        let _ = writeln!(out, "pf_vcache_hits_total {}", self.vcache_hits());
-        let _ = writeln!(out, "pf_vcache_misses_total {}", self.vcache_misses());
-        let _ = writeln!(
-            out,
-            "pf_vcache_uncacheable_total {}",
-            self.vcache_uncacheable()
-        );
-        let _ = writeln!(
-            out,
-            "pf_jump_depth_exceeded_total {}",
-            self.jump_depth_exceeded()
-        );
-        let _ = writeln!(
-            out,
-            "pf_ratelimit_throttled_total {}",
-            self.ratelimit_throttled()
-        );
-        let _ = writeln!(out, "pf_quota_exceeded_total {}", self.quota_exceeded());
-        let _ = writeln!(
-            out,
-            "pf_rulesetc_dispatch_total {}",
-            self.rulesetc_dispatch()
-        );
-        let _ = writeln!(
-            out,
-            "pf_rulesetc_fallback_total {}",
-            self.rulesetc_fallback()
-        );
-        let _ = writeln!(
-            out,
-            "pf_origin_transitions_total {}",
-            self.origin_transitions()
-        );
-        let _ = writeln!(out, "pf_origin_widened_total {}", self.origin_widened());
-        let _ = writeln!(
-            out,
-            "pf_origin_vcache_invalidations_total {}",
-            self.origin_vcache_invalidations()
-        );
-        let _ = writeln!(
-            out,
-            "pf_trace_events_dropped_total {}",
-            self.trace_dropped()
-        );
-        for op in LsmOperation::ALL {
-            let n = self.op_invocations(op);
-            if n > 0 {
-                let _ = writeln!(out, "pf_op_invocations_total{{op=\"{}\"}} {n}", op.name());
-            }
-            let (hits, misses, uncacheable) = self.vcache_op_counts(op);
-            if hits > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_vcache_op_hits_total{{op=\"{}\"}} {hits}",
-                    op.name()
-                );
-            }
-            if misses > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_vcache_op_misses_total{{op=\"{}\"}} {misses}",
-                    op.name()
-                );
-            }
-            if uncacheable > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_vcache_op_uncacheable_total{{op=\"{}\"}} {uncacheable}",
-                    op.name()
-                );
-            }
-            let (throttled, quota) = self.throttle_op_counts(op);
-            if throttled > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_ratelimit_op_throttled_total{{op=\"{}\"}} {throttled}",
-                    op.name()
-                );
-            }
-            if quota > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_quota_op_exceeded_total{{op=\"{}\"}} {quota}",
-                    op.name()
-                );
+        for (d, v) in TOTALS.iter().zip(&self.totals) {
+            let _ = writeln!(out, "pf_{}_total {}", d.name, load(v));
+        }
+        self.trace.write_prometheus(&mut out, "pf_trace_events");
+        let field_live: [bool; NUM_FIELDS] = std::array::from_fn(|i| {
+            (FIELD_ROWS.iter().zip(&self.fields)).any(|(d, v)| d.detail && load(&v[i]) > 0)
+        });
+        for (d, slots) in self.labelled() {
+            for (i, v) in slots.iter().map(load).enumerate() {
+                if v > 0 || (d.detail && d.labels == LabelKind::Field && field_live[i]) {
+                    let (key, label) = (d.labels.key(), d.labels.value(i));
+                    let _ = writeln!(out, "pf_{}_total{{{key}=\"{label}\"}} {v}", d.name);
+                }
             }
         }
         for chain in self.chains_seen() {
@@ -1279,31 +993,6 @@ impl Metrics {
                 }
             }
         }
-        for field in CtxField::ALL {
-            let (fetches, hits, misses) = self.field_counts(field);
-            if fetches + hits + misses > 0 {
-                let name = field.cname();
-                let _ = writeln!(
-                    out,
-                    "pf_ctx_field_fetches_total{{field=\"{name}\"}} {fetches}"
-                );
-                let _ = writeln!(out, "pf_ctx_field_hits_total{{field=\"{name}\"}} {hits}");
-                let _ = writeln!(
-                    out,
-                    "pf_ctx_field_misses_total{{field=\"{name}\"}} {misses}"
-                );
-            }
-            // Failure counters are always on (not detail-gated), so
-            // they get their own non-zero gate.
-            let failures = self.field_failures(field);
-            if failures > 0 {
-                let _ = writeln!(
-                    out,
-                    "pf_ctx_field_failures_total{{field=\"{}\"}} {failures}",
-                    field.cname()
-                );
-            }
-        }
         for (metric, hist) in [
             ("pf_eval_latency_ns", self.eval_latency()),
             ("pf_fetch_latency_ns", self.fetch_latency()),
@@ -1321,53 +1010,33 @@ impl Metrics {
     /// Renders a JSON snapshot of every counter and histogram summary.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(2048);
-        let _ = write!(
-            s,
-            "{{\"counters\":{{\"invocations\":{},\"rules_evaluated\":{},\
-             \"ctx_fetches\":{},\"cache_hits\":{},\"drops\":{},\"accepts\":{},\
-             \"default_allows\":{},\"degraded_drops\":{},\
-             \"degraded_allows\":{},\"vcache_hits\":{},\"vcache_misses\":{},\
-             \"vcache_uncacheable\":{},\"jump_depth_exceeded\":{},\
-             \"ratelimit_throttled\":{},\"quota_exceeded\":{},\
-             \"rulesetc_dispatch\":{},\"rulesetc_fallback\":{},\
-             \"origin_transitions\":{},\"origin_widened\":{},\
-             \"origin_vcache_invalidations\":{},\
-             \"trace_dropped\":{}}}",
-            self.invocations(),
-            self.rules_evaluated(),
-            self.ctx_fetches(),
-            self.cache_hits(),
-            self.drops(),
-            self.accepts(),
-            self.default_allows(),
-            self.degraded_drops(),
-            self.degraded_allows(),
-            self.vcache_hits(),
-            self.vcache_misses(),
-            self.vcache_uncacheable(),
-            self.jump_depth_exceeded(),
-            self.ratelimit_throttled(),
-            self.quota_exceeded(),
-            self.rulesetc_dispatch(),
-            self.rulesetc_fallback(),
-            self.origin_transitions(),
-            self.origin_widened(),
-            self.origin_vcache_invalidations(),
-            self.trace_dropped(),
-        );
-        s.push_str(",\"ops\":{");
-        let mut first = true;
-        for op in LsmOperation::ALL {
-            let n = self.op_invocations(op);
-            if n > 0 {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                let _ = write!(s, "\"{}\":{n}", op.name());
-            }
+        s.push('{');
+        self.write_json_members(&mut s);
+        s.push('}');
+        s
+    }
+
+    /// Writes the members of [`Metrics::to_json`]'s object without its
+    /// braces, so the firewall-level export can add its own.
+    pub(crate) fn write_json_members(&self, s: &mut String) {
+        s.push_str("\"counters\":{");
+        for (d, v) in TOTALS.iter().zip(&self.totals) {
+            let _ = write!(s, "\"{}\":{},", d.json, load(v));
         }
-        s.push_str("},\"chains\":{");
+        let _ = write!(s, "\"trace_dropped\":{}}},", self.trace.dropped());
+        self.trace.write_json(s, "trace");
+        for (d, slots) in OP_ROWS.iter().zip(&self.ops) {
+            let _ = write!(s, ",\"{}\":{{", d.json);
+            let mut sep = "";
+            for (i, v) in slots.iter().map(load).enumerate() {
+                if v > 0 {
+                    let _ = write!(s, "{sep}\"{}\":{v}", d.labels.value(i));
+                    sep = ",";
+                }
+            }
+            s.push('}');
+        }
+        s.push_str(",\"chains\":{");
         let mut first = true;
         for chain in self.chains_seen() {
             let snap = self.chain_snapshot(&chain).unwrap();
@@ -1376,7 +1045,7 @@ impl Metrics {
             }
             first = false;
             s.push('"');
-            esc(&mut s, &chain.name());
+            esc(s, &chain.name());
             s.push_str("\":[");
             for (i, (&ev, &hit)) in snap.evaluated.iter().zip(&snap.hits).enumerate() {
                 if i > 0 {
@@ -1390,22 +1059,20 @@ impl Metrics {
             }
             s.push(']');
         }
+        // Fields are grouped by field: one object per field that moved,
+        // holding every field counter.
         s.push_str("},\"fields\":{");
-        let mut first = true;
-        for field in CtxField::ALL {
-            let (fetches, hits, misses) = self.field_counts(field);
-            let failures = self.field_failures(field);
-            if fetches + hits + misses + failures > 0 {
-                if !first {
-                    s.push(',');
+        let mut sep = "";
+        for i in 0..NUM_FIELDS {
+            let values: [u64; NUM_FIELD_ROWS] = std::array::from_fn(|r| load(&self.fields[r][i]));
+            if values.iter().any(|&v| v > 0) {
+                let _ = write!(s, "{sep}\"{}\":{{", LabelKind::Field.value(i));
+                for (k, (d, v)) in FIELD_ROWS.iter().zip(values).enumerate() {
+                    let comma = if k > 0 { "," } else { "" };
+                    let _ = write!(s, "{comma}\"{}\":{v}", d.json);
                 }
-                first = false;
-                let _ = write!(
-                    s,
-                    "\"{}\":{{\"fetches\":{fetches},\"hits\":{hits},\
-                     \"misses\":{misses},\"failures\":{failures}}}",
-                    field.cname()
-                );
+                s.push('}');
+                sep = ",";
             }
         }
         s.push('}');
@@ -1423,48 +1090,75 @@ impl Metrics {
                 hist.max(),
             );
         }
-        s.push('}');
-        s
+    }
+
+    /// Renders the counter table as aligned `name value` lines: every
+    /// total, then each nonzero labelled value as `name{label=value}`.
+    /// pfstat's summary and pfsh's `stats` print exactly this.
+    pub fn render_summary(&self) -> String {
+        let mut out = String::with_capacity(1024);
+        for (d, v) in TOTALS.iter().zip(&self.totals) {
+            let _ = writeln!(out, "{:<40} {}", d.name, load(v));
+        }
+        for (d, slots) in self.labelled() {
+            for (i, v) in slots.iter().map(load).enumerate() {
+                if v > 0 {
+                    let name = format!("{}{{{}={}}}", d.name, d.labels.key(), d.labels.value(i));
+                    let _ = writeln!(out, "{name:<40} {v}");
+                }
+            }
+        }
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    impl Metrics {
+        fn by_op(&self, c: OpCounter, op: LsmOperation) -> u64 {
+            load(&self.ops[c as usize][op as usize])
+        }
+    }
 
     #[test]
     fn legacy_counters_bump_and_reset() {
         let m = Metrics::new();
-        m.bump_invocations();
-        m.bump_rules();
-        m.bump_rules();
-        m.bump_drops();
+        m.bump(Counter::Invocations);
+        m.bump(Counter::RulesEvaluated);
+        m.bump(Counter::RulesEvaluated);
+        m.bump(Counter::Drops);
+        m.bump_origin_transition();
+        m.bump_origin_widened();
         assert_eq!(m.invocations(), 1);
         assert_eq!(m.rules_evaluated(), 2);
         assert_eq!(m.drops(), 1);
+        assert_eq!((m.origin_transitions(), m.origin_widened()), (1, 1));
         m.reset();
         assert_eq!(m.rules_evaluated(), 0);
+        assert_eq!(m.origin_widened(), 0);
     }
 
     #[test]
     fn detail_layer_is_noop_until_enabled() {
         let m = Metrics::new();
-        m.op_invoked(LsmOperation::FileOpen);
+        m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
         m.rule_evaluated(&ChainName::Input, 0);
-        m.field_fetch(CtxField::ResourceId);
+        m.bump_field(FieldCounter::Fetches, CtxField::ResourceId);
         assert!(m.timer().is_none());
-        assert_eq!(m.op_invocations(LsmOperation::FileOpen), 0);
+        assert_eq!(m.by_op(OpCounter::Invocations, LsmOperation::FileOpen), 0);
         assert!(m.chain_snapshot(&ChainName::Input).is_none());
         assert_eq!(m.field_counts(CtxField::ResourceId), (0, 0, 0));
 
         m.set_detailed(true);
-        m.op_invoked(LsmOperation::FileOpen);
+        m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
         m.rule_evaluated(&ChainName::Input, 2);
         m.rule_hit(&ChainName::Input, 2);
-        m.field_fetch(CtxField::ResourceId);
-        m.field_miss(CtxField::ResourceId);
+        m.observe_fetch(CtxField::ResourceId, None, true);
         assert!(m.timer().is_some());
-        assert_eq!(m.op_invocations(LsmOperation::FileOpen), 1);
+        assert_eq!(m.by_op(OpCounter::Invocations, LsmOperation::FileOpen), 1);
         let snap = m.chain_snapshot(&ChainName::Input).unwrap();
         assert_eq!(snap.evaluated, [0, 0, 1]);
         assert_eq!(snap.hits, [0, 0, 1]);
@@ -1510,6 +1204,28 @@ mod tests {
         assert_eq!(h.count(), 0);
     }
 
+    /// p99.9 is `percentile(0.999)`. Over `1..=1000` it shares the top
+    /// bucket (896..=1023) with the maximum, so a single outlier makes
+    /// the difference visible: rank 999 of 1000 is the value 999's
+    /// bucket, while the rank a `99.9` argument clamps to is the maximum.
+    #[test]
+    fn percentile_999_sits_below_an_outlier_maximum() {
+        let h = Histogram::default();
+        for v in 1..=999u64 {
+            h.record(v);
+        }
+        h.record(1_000_000);
+        let p999 = h.percentile(0.999);
+        assert!((999..=1023).contains(&p999), "p99.9={p999}");
+        assert!(p999 < h.max());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 0.0..=1.0")]
+    fn percentile_rejects_a_percent_scale() {
+        Histogram::default().percentile(99.9);
+    }
+
     #[test]
     fn sharded_histogram_merges_across_threads() {
         let sh = std::sync::Arc::new(ShardedHistogram::default());
@@ -1546,9 +1262,9 @@ mod tests {
             let m = m.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..5000 {
-                    m.bump_invocations();
-                    m.bump_default_allows();
-                    m.op_invoked(LsmOperation::FileOpen);
+                    m.bump(Counter::Invocations);
+                    m.bump(Counter::DefaultAllows);
+                    m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
                     m.rule_evaluated(&ChainName::Input, 1);
                 }
             }));
@@ -1558,7 +1274,10 @@ mod tests {
         }
         assert_eq!(m.invocations(), 20_000);
         assert_eq!(m.default_allows(), 20_000);
-        assert_eq!(m.op_invocations(LsmOperation::FileOpen), 20_000);
+        assert_eq!(
+            m.by_op(OpCounter::Invocations, LsmOperation::FileOpen),
+            20_000
+        );
         let snap = m.chain_snapshot(&ChainName::Input).unwrap();
         assert_eq!(snap.evaluated, [0, 20_000]);
     }
@@ -1657,8 +1376,8 @@ mod tests {
     fn prometheus_lines_parse_as_name_labels_value() {
         let m = Metrics::new();
         m.set_detailed(true);
-        m.bump_invocations();
-        m.op_invoked(LsmOperation::FileOpen);
+        m.bump(Counter::Invocations);
+        m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
         m.rule_evaluated(&ChainName::User("side".into()), 1);
         m.observe_fetch(CtxField::ResourceId, m.timer(), false);
         m.observe_eval(m.timer());
@@ -1693,131 +1412,268 @@ mod tests {
     fn vcache_counters_export_and_reset() {
         let m = Metrics::new();
         m.set_detailed(true);
-        m.bump_vcache_hit(LsmOperation::FileOpen);
-        m.bump_vcache_hit(LsmOperation::FileOpen);
-        m.bump_vcache_miss(LsmOperation::FileOpen);
-        m.bump_vcache_uncacheable(LsmOperation::SocketBind);
-        m.bump_jump_depth_exceeded();
+        let (open, bind) = (LsmOperation::FileOpen, LsmOperation::SocketBind);
+        m.bump_split(Counter::VcacheHits, OpCounter::VcacheHits, open);
+        m.bump_split(Counter::VcacheHits, OpCounter::VcacheHits, open);
+        m.bump_split(Counter::VcacheMisses, OpCounter::VcacheMisses, open);
+        m.bump_split(
+            Counter::VcacheUncacheable,
+            OpCounter::VcacheUncacheable,
+            bind,
+        );
         assert_eq!(m.vcache_hits(), 2);
         assert_eq!(m.vcache_misses(), 1);
         assert_eq!(m.vcache_uncacheable(), 1);
-        assert_eq!(m.jump_depth_exceeded(), 1);
-        assert_eq!(m.vcache_op_counts(LsmOperation::FileOpen), (2, 1, 0));
-        assert_eq!(m.vcache_op_counts(LsmOperation::SocketBind), (0, 0, 1));
+        let split = |op| {
+            let c = [
+                OpCounter::VcacheHits,
+                OpCounter::VcacheMisses,
+                OpCounter::VcacheUncacheable,
+            ];
+            c.map(|c| m.by_op(c, op))
+        };
+        assert_eq!(split(open), [2, 1, 0]);
+        assert_eq!(split(bind), [0, 0, 1]);
         let text = m.render_prometheus();
-        assert!(text.contains("pf_vcache_hits_total 2"));
-        assert!(text.contains("pf_vcache_misses_total 1"));
-        assert!(text.contains("pf_vcache_uncacheable_total 1"));
-        assert!(text.contains("pf_jump_depth_exceeded_total 1"));
         assert!(text.contains("pf_vcache_op_hits_total{op=\"FILE_OPEN\"} 2"));
         assert!(text.contains("pf_vcache_op_uncacheable_total{op=\"SOCKET_BIND\"} 1"));
-        let json = m.to_json();
-        assert!(json.contains("\"vcache_hits\":2"));
-        assert!(json.contains("\"jump_depth_exceeded\":1"));
+        assert!(!text.contains("pf_vcache_op_uncacheable_total{op=\"FILE_OPEN\"}"));
         m.reset();
         assert_eq!(m.vcache_hits(), 0);
-        assert_eq!(m.jump_depth_exceeded(), 0);
-        assert_eq!(m.vcache_op_counts(LsmOperation::FileOpen), (0, 0, 0));
+        assert_eq!(split(open), [0, 0, 0]);
+        // The always-on totals record even with the detail layer off.
+        m.set_detailed(false);
+        m.bump_split(Counter::VcacheHits, OpCounter::VcacheHits, open);
+        assert_eq!(m.vcache_hits(), 1);
+        assert_eq!(split(open), [0, 0, 0]);
     }
 
     #[test]
     fn throttle_counters_export_and_reset() {
         let m = Metrics::new();
         m.set_detailed(true);
-        m.bump_ratelimit_throttled(LsmOperation::ProcessSignalDelivery, &ChainName::Input, 0);
-        m.bump_ratelimit_throttled(LsmOperation::ProcessSignalDelivery, &ChainName::Input, 0);
-        m.bump_quota_exceeded(LsmOperation::FileCreate, &ChainName::Input, 1);
+        let signal = LsmOperation::ProcessSignalDelivery;
+        let create = LsmOperation::FileCreate;
+        let ratelimit = |op, index| {
+            let (c, split) = (Counter::RatelimitThrottled, OpCounter::RatelimitThrottled);
+            m.bump_throttled(c, split, op, &ChainName::Input, index);
+        };
+        let quota = |op, index| {
+            let (c, split) = (Counter::QuotaExceeded, OpCounter::QuotaExceeded);
+            m.bump_throttled(c, split, op, &ChainName::Input, index);
+        };
+        ratelimit(signal, 0);
+        ratelimit(signal, 0);
+        quota(create, 1);
         assert_eq!(m.ratelimit_throttled(), 2);
         assert_eq!(m.quota_exceeded(), 1);
-        assert_eq!(
-            m.throttle_op_counts(LsmOperation::ProcessSignalDelivery),
-            (2, 0)
-        );
-        assert_eq!(m.throttle_op_counts(LsmOperation::FileCreate), (0, 1));
+        let split = |op| {
+            let c = [OpCounter::RatelimitThrottled, OpCounter::QuotaExceeded];
+            c.map(|c| m.by_op(c, op))
+        };
+        assert_eq!(split(signal), [2, 0]);
+        assert_eq!(split(create), [0, 1]);
         let snap = m.chain_snapshot(&ChainName::Input).unwrap();
         assert_eq!(snap.throttled, vec![2, 1]);
         let text = m.render_prometheus();
-        assert!(text.contains("pf_ratelimit_throttled_total 2"));
-        assert!(text.contains("pf_quota_exceeded_total 1"));
         assert!(text.contains("pf_ratelimit_op_throttled_total{op=\"PROCESS_SIGNAL_DELIVERY\"} 2"));
         assert!(text.contains("pf_quota_op_exceeded_total{op=\"FILE_CREATE\"} 1"));
         assert!(text.contains("pf_rule_throttled_total{chain=\"input\",rule=\"0\"} 2"));
-        let json = m.to_json();
-        assert!(json.contains("\"ratelimit_throttled\":2"));
-        assert!(json.contains("\"quota_exceeded\":1"));
         m.reset();
         assert_eq!(m.ratelimit_throttled(), 0);
-        assert_eq!(m.quota_exceeded(), 0);
-        assert_eq!(
-            m.throttle_op_counts(LsmOperation::ProcessSignalDelivery),
-            (0, 0)
-        );
+        assert_eq!(split(signal), [0, 0]);
         // The always-on totals record even with the detail layer off.
         m.set_detailed(false);
-        m.bump_quota_exceeded(LsmOperation::FileCreate, &ChainName::Input, 0);
+        quota(create, 0);
         assert_eq!(m.quota_exceeded(), 1);
-        assert_eq!(m.throttle_op_counts(LsmOperation::FileCreate), (0, 0));
+        assert_eq!(split(create), [0, 0]);
+        assert!(m.chain_snapshot(&ChainName::Input).is_none());
     }
 
+    /// A field's detail counters export together once any of them moved,
+    /// so a fetched field shows its zero hits; the always-on failure
+    /// count exports once nonzero and records with the detail layer off.
     #[test]
-    fn rulesetc_counters_export_and_reset() {
+    fn field_counters_export_and_gate() {
         let m = Metrics::new();
-        m.bump_rulesetc_dispatch();
-        m.bump_rulesetc_dispatch();
-        m.bump_rulesetc_fallback();
-        assert_eq!(m.rulesetc_dispatch(), 2);
-        assert_eq!(m.rulesetc_fallback(), 1);
+        m.set_detailed(true);
+        m.observe_fetch(CtxField::ResourceId, None, false);
+        m.bump_field(FieldCounter::Failures, CtxField::Entrypoint);
         let text = m.render_prometheus();
-        assert!(text.contains("pf_rulesetc_dispatch_total 2"));
-        assert!(text.contains("pf_rulesetc_fallback_total 1"));
-        let json = m.to_json();
-        assert!(json.contains("\"rulesetc_dispatch\":2"));
-        assert!(json.contains("\"rulesetc_fallback\":1"));
+        for line in [
+            "pf_ctx_field_fetches_total{field=\"C_INO\"} 1",
+            "pf_ctx_field_hits_total{field=\"C_INO\"} 0",
+            "pf_ctx_field_misses_total{field=\"C_INO\"} 0",
+            "pf_ctx_field_failures_total{field=\"C_ENTRYPOINT\"} 1",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing `{line}`");
+        }
+        assert!(!text.contains("pf_ctx_field_failures_total{field=\"C_INO\"}"));
+        assert!(!text.contains("pf_ctx_field_fetches_total{field=\"C_ENTRYPOINT\"}"));
         m.reset();
-        assert_eq!(m.rulesetc_dispatch(), 0);
-        assert_eq!(m.rulesetc_fallback(), 0);
-    }
-
-    #[test]
-    fn origin_counters_export_and_reset() {
-        let m = Metrics::new();
-        m.bump_origin_transition();
-        m.bump_origin_transition();
-        m.bump_origin_widened();
-        m.bump_origin_vcache_invalidation();
-        assert_eq!(m.origin_transitions(), 2);
-        assert_eq!(m.origin_widened(), 1);
-        assert_eq!(m.origin_vcache_invalidations(), 1);
-        let text = m.render_prometheus();
-        assert!(text.contains("pf_origin_transitions_total 2"));
-        assert!(text.contains("pf_origin_widened_total 1"));
-        assert!(text.contains("pf_origin_vcache_invalidations_total 1"));
-        let json = m.to_json();
-        assert!(json.contains("\"origin_transitions\":2"));
-        assert!(json.contains("\"origin_widened\":1"));
-        assert!(json.contains("\"origin_vcache_invalidations\":1"));
-        m.reset();
-        assert_eq!(m.origin_transitions(), 0);
-        assert_eq!(m.origin_widened(), 0);
-        assert_eq!(m.origin_vcache_invalidations(), 0);
+        m.set_detailed(false);
+        m.observe_fetch(CtxField::ResourceId, None, true);
+        m.bump_field(FieldCounter::Failures, CtxField::ResourceId);
+        assert_eq!(m.field_counts(CtxField::ResourceId), (0, 0, 0));
+        let failures = m.by_field(FieldCounter::Failures, CtxField::ResourceId);
+        assert_eq!(failures, 1);
     }
 
     #[test]
     fn json_snapshot_shape() {
         let m = Metrics::new();
         m.set_detailed(true);
-        m.bump_invocations();
-        m.bump_default_allows();
-        m.op_invoked(LsmOperation::SocketBind);
+        m.bump(Counter::Invocations);
+        m.bump(Counter::DefaultAllows);
+        m.bump_op(OpCounter::Invocations, LsmOperation::SocketBind);
         m.rule_evaluated(&ChainName::Input, 0);
         let json = m.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"invocations\":1"));
         assert!(json.contains("\"default_allows\":1"));
-        assert!(json.contains("\"SOCKET_BIND\":1"));
+        assert!(json.contains("\"ops\":{\"SOCKET_BIND\":1}"));
+        assert!(json.contains("\"vcache_op_hits\":{}"));
         assert!(
             json.contains("\"input\":[{\"rule\":0,\"evaluated\":1,\"hits\":0,\"throttled\":0}]")
         );
         assert!(json.contains("\"eval_latency_ns\""));
+    }
+
+    /// A registry where total `i` was bumped `i + 1` times and slot `j`
+    /// of labelled row `k` holds `1 + k * slots + j`, all through the
+    /// hook-path writers.
+    fn golden() -> Metrics {
+        let m = Metrics::new();
+        m.set_detailed(true);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            (0..=i).for_each(|_| m.bump(c));
+        }
+        for (k, &c) in OpCounter::ALL.iter().enumerate() {
+            for (j, &op) in LsmOperation::ALL.iter().enumerate() {
+                (0..1 + k * NUM_OPS + j).for_each(|_| m.bump_op(c, op));
+            }
+        }
+        for (k, &c) in FieldCounter::ALL.iter().enumerate() {
+            for (j, &field) in CtxField::ALL.iter().enumerate() {
+                (0..1 + k * NUM_FIELDS + j).for_each(|_| m.bump_field(c, field));
+            }
+        }
+        m
+    }
+
+    /// The balanced `{…}` value of the first `"key":{` member of `json`.
+    fn json_member<'a>(json: &'a str, key: &str) -> &'a str {
+        let open = format!("\"{key}\":{{");
+        let start = json.find(&open).expect("member present") + open.len() - 1;
+        let mut depth = 0;
+        for (i, c) in json[start..].char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 1 => return &json[start..=start + i],
+                '}' => depth -= 1,
+                _ => {}
+            }
+        }
+        panic!("unbalanced `{key}`");
+    }
+
+    /// `testdata/metrics_golden.{prom,json}` is what the hand-written
+    /// exporters that preceded the counter table rendered for
+    /// `golden()`'s state. Every line and key survives with its name,
+    /// labels and value; the only new Prometheus samples are the TRACE
+    /// ring's accounting.
+    #[test]
+    fn exporters_keep_every_hand_written_line_and_key() {
+        let m = golden();
+        for (i, get) in ACCESSORS.iter().enumerate() {
+            assert_eq!(get(&m), i as u64 + 1, "accessor of {}", TOTALS[i].name);
+        }
+        let prom = m.render_prometheus();
+        let histogram =
+            |l: &&str| l.starts_with("pf_eval_latency") || l.starts_with("pf_fetch_latency");
+        let before: BTreeSet<&str> = include_str!("../testdata/metrics_golden.prom")
+            .lines()
+            .filter(|l| !histogram(l))
+            .collect();
+        let after: BTreeSet<&str> = prom.lines().filter(|l| !histogram(l)).collect();
+        let lost: Vec<&str> = before.difference(&after).copied().collect();
+        assert!(lost.is_empty(), "lines lost: {lost:?}");
+        let added: Vec<&str> = after.difference(&before).copied().collect();
+        assert_eq!(
+            added,
+            [
+                "pf_trace_events_buffered 0",
+                "pf_trace_events_capacity 4096",
+                "pf_trace_events_drained_total 0",
+                "pf_trace_events_emitted_total 0",
+            ]
+        );
+        let json = m.to_json();
+        let golden_json = include_str!("../testdata/metrics_golden.json");
+        for key in ["counters", "ops", "fields"] {
+            let (now, then) = (json_member(&json, key), json_member(golden_json, key));
+            assert_eq!(now, then, "`{key}` changed");
+        }
+    }
+
+    /// Every row of the counter table reaches the Prometheus output, the
+    /// JSON output, the summary and the doc table in
+    /// `docs/OBSERVABILITY.md`, and `reset` zeroes every row.
+    #[test]
+    fn every_row_reaches_every_exporter_and_the_doc_table() {
+        let m = golden();
+        let (prom, json, summary) = (m.render_prometheus(), m.to_json(), m.render_summary());
+        let (counters, fields) = (json_member(&json, "counters"), json_member(&json, "fields"));
+        let doc = include_str!("../../../docs/OBSERVABILITY.md");
+        let rows: Vec<&Descriptor> = TOTALS.iter().chain(&OP_ROWS).chain(&FIELD_ROWS).collect();
+        for d in &rows {
+            let (name, key, member) = (d.name, d.labels.key(), format!("\"{}\":", d.json));
+            let (sample, in_json, labels, location) = match d.labels {
+                LabelKind::None => (
+                    format!("pf_{name}_total "),
+                    counters.contains(&member),
+                    "—".to_owned(),
+                    format!("`counters.{}`", d.json),
+                ),
+                LabelKind::Op => (
+                    format!("pf_{name}_total{{op=\""),
+                    json.contains(&format!("{member}{{\"")),
+                    "`op`".to_owned(),
+                    format!("`{}.<OP>`", d.json),
+                ),
+                LabelKind::Field => (
+                    format!("pf_{name}_total{{field=\""),
+                    fields.contains(&member),
+                    "`field`".to_owned(),
+                    format!("`fields.<FIELD>.{}`", d.json),
+                ),
+            };
+            assert!(
+                prom.lines().any(|l| l.starts_with(&sample)),
+                "Prometheus lacks {name}"
+            );
+            assert!(in_json, "JSON lacks {name}");
+            let summarised = summary.lines().any(|l| match d.labels {
+                LabelKind::None => l.split_whitespace().next() == Some(name),
+                _ => l.starts_with(&format!("{name}{{{key}=")),
+            });
+            assert!(summarised, "summary lacks {name}");
+            let layer = if d.detail { "detail" } else { "always-on" };
+            let row = format!(
+                "| `{name}` | {labels} | {location} | {layer} | {} |",
+                d.help
+            );
+            assert!(doc.lines().any(|l| l == row), "doc table lacks `{row}`");
+        }
+        let header = "| counter | labels | JSON | layer | meaning |";
+        let table = doc.split(header).nth(1).expect("doc counter table");
+        let doc_rows = table.lines().skip(2).take_while(|l| l.starts_with('|'));
+        assert_eq!(doc_rows.count(), rows.len(), "doc table has stale rows");
+
+        m.reset();
+        assert!(ACCESSORS.iter().all(|get| get(&m) == 0));
+        let prom = m.render_prometheus();
+        assert!(!prom.contains("{op=") && !prom.contains("{field="));
+        assert_eq!(json_member(&m.to_json(), "ops"), "{}");
     }
 }

@@ -18,6 +18,7 @@
 //! two racing drains never both report the same loss.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -161,6 +162,44 @@ impl<T> BoundedRing<T> {
     /// Records overwritten before any drainer saw them.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Emitted, drained, dropped, buffered and capacity, read under the
+    /// lock so `emitted == drained + dropped + buffered` holds in every
+    /// export, not only at quiescent points.
+    fn accounting(&self) -> [(&'static str, u64); 5] {
+        let ring = self.lock();
+        [
+            ("emitted", self.emitted()),
+            ("drained", self.drained()),
+            ("dropped", self.dropped()),
+            ("buffered", ring.len() as u64),
+            ("capacity", self.capacity() as u64),
+        ]
+    }
+
+    /// Renders the accounting as Prometheus samples: the
+    /// `<prefix>_{emitted,drained,dropped}_total` counters and the
+    /// `<prefix>_buffered`/`<prefix>_capacity` gauges.
+    pub(crate) fn write_prometheus(&self, out: &mut String, prefix: &str) {
+        for (name, v) in self.accounting() {
+            let total = if matches!(name, "buffered" | "capacity") {
+                ""
+            } else {
+                "_total"
+            };
+            let _ = writeln!(out, "{prefix}_{name}{total} {v}");
+        }
+    }
+
+    /// Renders the accounting as the JSON member `"<key>":{"emitted":…}`.
+    pub(crate) fn write_json(&self, out: &mut String, key: &str) {
+        let _ = write!(out, "\"{key}\":{{");
+        for (i, (name, v)) in self.accounting().into_iter().enumerate() {
+            let comma = if i > 0 { "," } else { "" };
+            let _ = write!(out, "{comma}\"{name}\":{v}");
+        }
+        out.push('}');
     }
 
     /// Test hook: takes the ring lock without poison recovery, so a

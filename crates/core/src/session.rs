@@ -399,7 +399,7 @@ mod tests {
         let mut session = TaskSession::new();
         session.evaluate(&fw, &mut env, LsmOperation::FileOpen);
         session.evaluate(&fw, &mut env, LsmOperation::FileOpen);
-        let logs = fw.take_logs();
+        let logs = fw.drain_logs().entries;
         assert_eq!(logs.len(), 2);
         assert!(logs.iter().all(|e| e.tag == "s" && e.verdict == "ALLOW"));
     }

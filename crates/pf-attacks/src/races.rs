@@ -159,7 +159,7 @@ impl RaceScenario for CheckUseRace {
     fn attack_succeeded(&self, k: &Kernel) -> bool {
         // Success = the victim's `use` step opened the shadow file; the
         // LOG tap installed in `build` recorded exactly what it opened.
-        k.firewall.take_logs().iter().any(|l| {
+        k.firewall.drain_logs().entries.iter().any(|l| {
             l.pid == VICTIM.0 && l.op == pf_types::LsmOperation::FileOpen && l.object == "shadow_t"
         })
     }

@@ -198,7 +198,8 @@ pub fn test_victim(victim: &dyn Victim) -> PfResult<Vec<Finding>> {
         };
         let canary_touched = kernel
             .firewall
-            .take_logs()
+            .drain_logs()
+            .entries
             .iter()
             .any(|l| l.pid == victim_pid.0 && l.resource == canary_res.to_string());
         let canary_modified = kernel

@@ -92,30 +92,17 @@ impl Shell {
                 Ok(out)
             }
             ["logs"] => {
-                let logs = self.kernel.firewall.take_logs();
-                Ok(logs
-                    .iter()
-                    .map(|l| l.to_json())
-                    .collect::<Vec<_>>()
-                    .join("\n"))
+                let drain = self.kernel.firewall.drain_logs();
+                let mut lines: Vec<String> = drain.entries.iter().map(|l| l.to_json()).collect();
+                if drain.gap {
+                    let gap = format!("gap: {} records overwritten", drain.dropped_since_last);
+                    lines.insert(0, gap);
+                }
+                Ok(lines.join("\n"))
             }
             ["stats"] => {
-                let s = self.kernel.firewall.stats();
-                Ok(format!(
-                    "invocations={} rules_evaluated={} ctx_fetches={} cache_hits={} drops={} \
-                     vcache_hits={} vcache_misses={} vcache_uncacheable={} \
-                     rulesetc_dispatch={} rulesetc_fallback={}",
-                    s.invocations(),
-                    s.rules_evaluated(),
-                    s.ctx_fetches(),
-                    s.cache_hits(),
-                    s.drops(),
-                    s.vcache_hits(),
-                    s.vcache_misses(),
-                    s.vcache_uncacheable(),
-                    s.rulesetc_dispatch(),
-                    s.rulesetc_fallback()
-                ))
+                let summary = self.kernel.firewall.metrics().render_summary();
+                Ok(summary.trim_end().to_owned())
             }
             ["as", pid, rest @ ..] => {
                 let pid = Pid(pid.parse().map_err(|e| format!("bad pid: {e}"))?);

@@ -57,7 +57,7 @@ fn main() {
     println!("[victim]    benign write succeeded — zero false positives");
 
     // 7. Every denial was logged (how the paper found two new CVEs).
-    for log in kernel.firewall.take_logs() {
+    for log in kernel.firewall.drain_logs().entries {
         if log.verdict == "DENY" {
             println!("[log]       {}", log.to_json());
         }

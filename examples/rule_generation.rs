@@ -35,7 +35,7 @@ fn main() {
         )
         .unwrap();
     }
-    let logs = kernel.firewall.take_logs();
+    let logs = kernel.firewall.drain_logs().entries;
     println!("collected {} LOG records from the deployment", logs.len());
 
     // 2. Classify entrypoints and sweep thresholds (the Table 8 method).

@@ -154,7 +154,7 @@ fn run_trace(level: OptLevel, rules: &[(usize, usize, bool, u64)], trace: &[Acce
     state.sort_unstable();
     Observed {
         outcomes,
-        logs: k.firewall.take_logs(),
+        logs: k.firewall.drain_logs().entries,
         state,
         vcache_hits: k.firewall.metrics().vcache_hits(),
         keys_resource: k.firewall.base().keys_resource(),
@@ -445,7 +445,7 @@ fn vcache_serves_hits_for_repeated_denials() {
     assert_eq!(m.vcache_uncacheable(), 0);
     assert_eq!(m.drops(), 5, "hits still count as drops");
     // Every cached denial is still audited.
-    assert_eq!(k.firewall.take_logs().len(), 5);
+    assert_eq!(k.firewall.drain_logs().entries.len(), 5);
 }
 
 #[test]
@@ -526,7 +526,7 @@ fn objects_of_one_label_class_share_a_cached_denial() {
     assert_eq!(vcache_len(&k, pid), entries, "one entry per class");
 
     // The cached denial's record names its own access.
-    let logs = k.firewall.take_logs();
+    let logs = k.firewall.drain_logs().entries;
     assert_eq!(logs.len(), 2);
     assert_eq!(logs[0].resource, resource_name(&k, "/etc/passwd"));
     assert_eq!(logs[1].resource, resource_name(&k, "/etc/hosts"));

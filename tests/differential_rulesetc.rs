@@ -238,7 +238,7 @@ fn run_trace(level: OptLevel, seed: u64, stateful: bool, faults: Option<FaultCon
     let m = k.firewall.metrics();
     Observed {
         outcomes,
-        logs: k.firewall.take_logs(),
+        logs: k.firewall.drain_logs().entries,
         state_parent,
         state_child,
         invocations: m.invocations(),

@@ -136,7 +136,8 @@ fn firewall_drops_are_attributed_and_logged() {
     }
     let denials: Vec<_> = k
         .firewall
-        .take_logs()
+        .drain_logs()
+        .entries
         .into_iter()
         .filter(|l| l.verdict == "DENY")
         .collect();

@@ -30,7 +30,7 @@ fn logs_round_trip_through_json() {
     k.install_rules(["pftables -o FILE_OPEN -j LOG --tag trace"])
         .unwrap();
     exercise_service(&mut k, 5);
-    let logs = k.firewall.take_logs();
+    let logs = k.firewall.drain_logs().entries;
     assert!(!logs.is_empty());
     for entry in &logs {
         let json = entry.to_json();
@@ -46,7 +46,7 @@ fn suggested_rules_block_unseen_attacks_without_false_positives() {
     k.install_rules(["pftables -o FILE_OPEN -j LOG --tag trace"])
         .unwrap();
     let service = exercise_service(&mut k, 30);
-    let logs = k.firewall.take_logs();
+    let logs = k.firewall.drain_logs().entries;
 
     // Phase 2: serialize to JSON and back (the distributor's files).
     let jsons: Vec<String> = logs.iter().map(LogEntry::to_json).collect();
@@ -106,7 +106,7 @@ fn both_class_entrypoints_yield_no_rules() {
             k.close(browser, fd).ok()
         });
     }
-    let stats = accumulate(&trace_from_logs(&k.firewall.take_logs()));
+    let stats = accumulate(&trace_from_logs(&k.firewall.drain_logs().entries));
     // At a threshold of 1 the distributor only sees the first (high)
     // access, so a rule IS produced — and the threshold sweep flags it
     // as a would-be false positive, the paper's Table 8 phenomenon.
