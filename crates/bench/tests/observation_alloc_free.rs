@@ -1,13 +1,15 @@
-//! The hook allocates nothing to observe itself: LOG records and TRACE
-//! hops are captured as fixed records (ids, shared names, enum verdicts)
-//! and rendered only when a collector drains them.
+//! The hook allocates nothing to observe or attribute itself: LOG
+//! records and TRACE hops are captured as fixed records (ids, shared
+//! names, enum verdicts) and rendered only when a collector drains
+//! them, and a denial's attribution shares the rule that fired.
 //!
 //! The rule base logs twice per hook, arms TRACE, and jumps into a user
-//! chain whose rules are traversed, so every hook captures two LOG
-//! records and five TRACE hops, one of them in a user chain. Both rings
-//! are first driven past their capacities, so the counted region also
-//! covers the overwrite-oldest path. DROP stays out of it: a denial's
-//! `dropped_by` attribution still allocates its chain name.
+//! chain whose rules are traversed. Hooks alternate between an object
+//! the user chain lets through and one it DROPs, so every hook captures
+//! two LOG records and four or five TRACE hops, one or two of them in a
+//! user chain, and every other hook denies and patches its first LOG
+//! record to DENY. Both rings are first driven past their capacities,
+//! so the counted region also covers the overwrite-oldest path.
 //!
 //! The counting allocator is process-wide, so this binary holds exactly
 //! one test and nothing else runs beside the counted region.
@@ -39,11 +41,13 @@ const RULES: [&str; 5] = [
     "pftables -A side -o FILE_OPEN -j LOG --tag s",
 ];
 const LOGS_PER_HOOK: usize = 2;
-const HOPS_PER_HOOK: usize = 5;
+/// A denied hook stops at the DROP, one hop short of an allowed one.
+const MIN_HOPS_PER_HOOK: usize = 4;
 const COUNTED_HOOKS: u64 = 1_000;
 
 /// One labelled file object opened from a library entrypoint; program
-/// names come from an interner, shared rather than copied.
+/// names come from an interner, shared rather than copied. The object's
+/// label flips between `allowed` and `denied`.
 struct Env {
     mac: MacPolicy,
     programs: Interner,
@@ -51,6 +55,8 @@ struct Env {
     program: ProgramId,
     entrypoint: ProgramId,
     object: ObjectInfo,
+    allowed: SecId,
+    denied: SecId,
 }
 
 impl Env {
@@ -61,6 +67,7 @@ impl Env {
         let program = programs.intern("/usr/bin/apache2");
         let entrypoint = programs.intern("/lib/libc.so.6");
         let sid = mac.lookup_label("tmp_t").unwrap();
+        let denied = mac.lookup_label("etc_t").unwrap();
         Env {
             mac,
             programs,
@@ -77,6 +84,19 @@ impl Env {
                 group: Gid(1000),
                 mode: Mode::FILE_DEFAULT,
             },
+            allowed: sid,
+            denied,
+        }
+    }
+
+    /// Labels the object for hook `i`: odd hooks are denied.
+    fn label_for(&mut self, i: u64) -> Verdict {
+        if i % 2 == 1 {
+            self.object.sid = self.denied;
+            Verdict::Deny
+        } else {
+            self.object.sid = self.allowed;
+            Verdict::Allow
         }
     }
 }
@@ -126,18 +146,20 @@ impl EvalEnv for Env {
     }
 }
 
-/// Allocations made by `hooks` runs of `hook`, each asserted to allow.
-fn allocs_over(hooks: u64, mut hook: impl FnMut() -> Verdict) -> u64 {
+/// Allocations made by `hooks` runs of `hook`, alternating allowed and
+/// denied objects, each run asserted to reach its verdict.
+fn allocs_over(env: &mut Env, hooks: u64, mut hook: impl FnMut(&mut Env) -> Verdict) -> u64 {
     let before = allocations();
-    for _ in 0..hooks {
-        assert_eq!(hook(), Verdict::Allow);
+    for i in 0..hooks {
+        let want = env.label_for(i);
+        assert_eq!(hook(env), want, "hook {i}");
     }
     allocations() - before
 }
 
 #[test]
 fn log_and_trace_capture_allocates_nothing_on_the_hook() {
-    let warm = (TRACE_RING_CAP / HOPS_PER_HOOK).max(LOG_CAPACITY / LOGS_PER_HOOK) as u64 + 200;
+    let warm = (TRACE_RING_CAP / MIN_HOPS_PER_HOOK).max(LOG_CAPACITY / LOGS_PER_HOOK) as u64 + 200;
     for level in OptLevel::ALL {
         if level == OptLevel::Disabled {
             continue;
@@ -152,7 +174,8 @@ fn log_and_trace_capture_allocates_nothing_on_the_hook() {
 
         // Warm both paths past both ring capacities: from here on every
         // capture overwrites the oldest record.
-        for _ in 0..warm {
+        for i in 0..warm {
+            env.label_for(i);
             session.evaluate(&fw, &mut env, op);
             fw.evaluate(&mut env, op);
         }
@@ -162,19 +185,37 @@ fn log_and_trace_capture_allocates_nothing_on_the_hook() {
             "{level:?}: TRACE ring wrapped"
         );
 
-        let session_allocs = allocs_over(COUNTED_HOOKS, || {
-            session.evaluate(&fw, &mut env, op).verdict
+        let drops = fw.metrics().drops();
+        let session_allocs = allocs_over(&mut env, COUNTED_HOOKS, |env| {
+            session.evaluate(&fw, env, op).verdict
         });
-        let one_shot_allocs = allocs_over(COUNTED_HOOKS, || fw.evaluate(&mut env, op).verdict);
+        let one_shot_allocs =
+            allocs_over(&mut env, COUNTED_HOOKS, |env| fw.evaluate(env, op).verdict);
         assert_eq!(session_allocs, 0, "{level:?}: TaskSession hook allocated");
         assert_eq!(one_shot_allocs, 0, "{level:?}: one-shot hook allocated");
+        assert_eq!(fw.metrics().drops() - drops, COUNTED_HOOKS, "{level:?}");
 
-        // The captured records still render completely at drain.
+        // The captured records still render completely at drain, and a
+        // denied hook's LOG record carries the patched verdict.
         let drain = fw.drain_logs();
         assert!(drain.gap);
         assert_eq!(drain.entries.len(), LOG_CAPACITY);
+        let verdicts = |tag: &str| -> Vec<&str> {
+            let mut v: Vec<&str> = drain
+                .entries
+                .iter()
+                .filter(|e| e.tag == tag)
+                .map(|e| e.verdict.as_str())
+                .collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        assert_eq!(verdicts("t"), ["ALLOW", "DENY"], "{level:?}");
+        assert_eq!(verdicts("s"), ["ALLOW"], "{level:?}");
+        assert_eq!(verdicts("DROP"), ["DENY"], "{level:?}");
         let last = drain.entries.last().unwrap();
-        assert_eq!(last.tag, "s");
+        assert_eq!((last.tag.as_str(), last.verdict.as_str()), ("DROP", "DENY"));
         assert_eq!(last.resource, "dev:3/ino:77");
         assert_eq!(
             (last.program.as_str(), last.ept_prog.as_str()),

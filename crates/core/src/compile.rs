@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use pf_types::{LsmOperation, ProgramId, SecId};
 
@@ -117,7 +118,7 @@ impl CompiledDispatch {
     ///   go to the wildcard: exclusion must be provable, not probable.
     /// * **entrypoint** — `-p BIN -i PC` (both halves) → the exact
     ///   `(program, pc)` bucket, else wildcard.
-    pub fn compile(rules: &[Rule]) -> Self {
+    pub fn compile(rules: &[Arc<Rule>]) -> Self {
         Self::build(rules, true)
     }
 
@@ -125,11 +126,11 @@ impl CompiledDispatch {
     /// EPTSPC table, and the RULESETC fallback when the object label
     /// cannot be read. One concrete bucket per entrypoint chain; the
     /// wildcard holds the generic rules.
-    pub fn compile_entrypoint_only(rules: &[Rule]) -> Self {
+    pub fn compile_entrypoint_only(rules: &[Arc<Rule>]) -> Self {
         Self::build(rules, false)
     }
 
-    fn build(rules: &[Rule], all_axes: bool) -> Self {
+    fn build(rules: &[Arc<Rule>], all_axes: bool) -> Self {
         let mut this = CompiledDispatch::default();
         for (i, rule) in rules.iter().enumerate() {
             let ept = rule.def.entrypoint();
@@ -278,8 +279,12 @@ mod tests {
     use crate::rule::{DefaultMatches, Rule, Target};
     use pf_types::{InternId, LabelSet};
 
-    fn rule(op: Option<LsmOperation>, object: Option<LabelSet>, ept: Option<(u32, u64)>) -> Rule {
-        Rule::new(
+    fn rule(
+        op: Option<LsmOperation>,
+        object: Option<LabelSet>,
+        ept: Option<(u32, u64)>,
+    ) -> Arc<Rule> {
+        Arc::new(Rule::new(
             DefaultMatches {
                 op,
                 object,
@@ -290,7 +295,7 @@ mod tests {
             vec![],
             Target::Drop,
             String::new(),
-        )
+        ))
     }
 
     fn labels(members: &[u32]) -> LabelSet {

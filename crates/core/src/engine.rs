@@ -62,15 +62,29 @@ use crate::snapshot::{RulesetDraft, RulesetSnapshot, SharedRuleset};
 use crate::value::ValueExpr;
 use crate::vcache::{CacheEntry, VerdictCache, VerdictKey, VerdictKind};
 
+/// The rule a denial is attributed to: where it fired and the rule
+/// itself. The rule is the `Arc` the snapshot holds, so attributing a
+/// deny allocates nothing, and the rule stays nameable after any later
+/// reload moves or removes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DroppedBy {
+    /// The chain the rule fired in.
+    pub chain: ChainName,
+    /// The rule's index in `chain`, within the snapshot named by the
+    /// decision's `generation`.
+    pub index: usize,
+    /// The rule that fired.
+    pub rule: Arc<Rule>,
+}
+
 /// The outcome of one firewall invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvalDecision {
     /// Allow or deny.
     pub verdict: Verdict,
-    /// For denies: the chain name and rule index that fired. Indices
-    /// are only meaningful within the snapshot named by `generation`;
-    /// use [`ProcessFirewall::attribute`] for a safe lazy resolution.
-    pub dropped_by: Option<(String, usize)>,
+    /// For denies: the rule that fired (see [`DroppedBy`] and
+    /// [`ProcessFirewall::attribute`]).
+    pub dropped_by: Option<DroppedBy>,
     /// The generation of the ruleset snapshot that produced this
     /// verdict. Each invocation runs against exactly one snapshot, so
     /// under concurrent hot reloads every verdict is attributable to
@@ -140,15 +154,17 @@ const _: fn() = || {
 fn apply_command(draft: &mut RulesetDraft, cmd: Command) -> PfResult<()> {
     match cmd {
         Command::Rule(parsed) => match parsed.op {
-            RuleOp::InsertHead(chain) => draft.base.add(chain, parsed.rule, true),
-            RuleOp::Append(chain) => draft.base.add(chain, parsed.rule, false),
-            RuleOp::Delete(chain) => draft.base.delete(&chain, &parsed.rule.text)?,
+            RuleOp::InsertHead(chain) => draft.add(chain, parsed.rule, true),
+            RuleOp::Append(chain) => draft.add(chain, parsed.rule, false),
+            RuleOp::Delete(chain) => draft.delete(&chain, &parsed.rule.text)?,
         },
-        Command::NewChain(chain) => draft.base.new_chain(chain)?,
-        Command::Flush(Some(chain)) => draft.base.flush(&chain)?,
-        Command::Flush(None) => draft.base.clear(),
-        Command::DeleteChain(chain) => draft.base.delete_chain(&chain)?,
-        Command::CtxDefault(chain, policy) => draft.base.set_ctx_default(chain, Some(policy)),
+        Command::NewChain(chain) => draft.new_chain(chain)?,
+        Command::Flush(Some(chain)) => draft.flush(&chain)?,
+        Command::Flush(None) => draft.clear(),
+        Command::DeleteChain(chain) => draft.delete_chain(&chain)?,
+        Command::CtxDefault(chain, policy) => {
+            draft.ctx_defaults.insert(chain, policy);
+        }
         Command::SetLevel(level) => draft.config = level.config(),
         // Sampling is runtime state on the event plane, not snapshot
         // state; every caller routes it before building a draft. A
@@ -211,21 +227,26 @@ impl ProcessFirewall {
         Some((self.shared.load(), Instant::now()))
     }
 
-    /// Emits the commit-only self-observability event single-command
-    /// management verbs share: generation, edit duration, rule diff vs
-    /// the pre-edit snapshot, and post-edit rule count.
+    /// Emits the commit event of an edit that published `generation`:
+    /// the edit's duration, its rule diff against the pre-edit snapshot
+    /// in `span`, and the post-edit rule count and compile time. Emits
+    /// nothing without a span, or when the plane is off once the edit
+    /// is done — a batch's own `-E off` silences its commit, and an
+    /// `-E` that arms the plane lets the batch record it.
     fn note_commit(&self, span: Option<(Arc<RulesetSnapshot>, Instant)>, generation: u64) {
-        if let Some((before, t0)) = span {
-            let after = self.shared.load();
-            self.events.emit_control(
-                EventKind::ReloadCommit,
-                generation,
-                t0.elapsed().as_nanos() as u64,
-                before.rule_diff(&after),
-                after.len() as u64,
-                after.compile_ns(),
-            );
+        let Some((before, t0)) = span else { return };
+        if self.events.sampling() == SamplingMode::Off {
+            return;
         }
+        let after = self.shared.load();
+        self.events.emit_control(
+            EventKind::ReloadCommit,
+            generation,
+            t0.elapsed().as_nanos() as u64,
+            before.rule_diff(&after),
+            after.len() as u64,
+            after.compile_ns(),
+        );
     }
 
     /// The active configuration.
@@ -275,84 +296,8 @@ impl ProcessFirewall {
         mac: &mut MacPolicy,
         programs: &mut Interner,
     ) -> PfResult<usize> {
-        let mut cmds = Vec::new();
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            cmds.push(parse_command(line, mac, programs)?);
-        }
-        let sampling = split_sampling(&mut cmds);
-        let n = cmds.len() + sampling.len();
-        if cmds.is_empty() {
-            // Only `-E` directives (or nothing): no snapshot to build.
-            for mode in sampling {
-                self.events.set_sampling(mode);
-            }
-            return Ok(n);
-        }
-        let before = self.shared.load();
-        let t0 = Instant::now();
-        self.events.emit_control(
-            EventKind::ReloadBegin,
-            before.generation(),
-            0,
-            0,
-            before.len() as u64,
-            0,
-        );
-        match self.shared.update(|d| {
-            for cmd in cmds {
-                apply_command(d, cmd)?;
-            }
-            Ok(())
-        }) {
-            Ok(((), generation)) => {
-                for mode in sampling {
-                    self.events.set_sampling(mode);
-                }
-                self.note_batch_commit(&before, t0, generation);
-                Ok(n)
-            }
-            Err(e) => {
-                self.note_batch_abort(&before, t0);
-                Err(e)
-            }
-        }
-    }
-
-    /// Emits the commit event for a successful batch edit. Runs after
-    /// any batched `-E` directives took effect, so a batch that *turns
-    /// sampling on* records its own commit; the rule diff is computed
-    /// only when the plane ends up armed.
-    fn note_batch_commit(&self, before: &RulesetSnapshot, t0: Instant, generation: u64) {
-        if self.events.sampling() == SamplingMode::Off {
-            return;
-        }
-        let after = self.shared.load();
-        self.events.emit_control(
-            EventKind::ReloadCommit,
-            generation,
-            t0.elapsed().as_nanos() as u64,
-            before.rule_diff(&after),
-            after.len() as u64,
-            after.compile_ns(),
-        );
-    }
-
-    /// Emits the abort event for a failed batch edit: the published
-    /// snapshot is untouched, so the event carries the *surviving*
-    /// generation and rule count.
-    fn note_batch_abort(&self, before: &RulesetSnapshot, t0: Instant) {
-        self.events.emit_control(
-            EventKind::ReloadAbort,
-            before.generation(),
-            t0.elapsed().as_nanos() as u64,
-            0,
-            before.len() as u64,
-            0,
-        );
+        self.apply_batch(lines, mac, programs, false)
+            .map(|(n, _)| n)
     }
 
     /// `pftables-restore`: atomically **replaces** the whole rule base
@@ -362,12 +307,32 @@ impl ProcessFirewall {
     /// draft and published with one snapshot swap, so every in-flight
     /// invocation sees either the complete old ruleset or the complete
     /// new one (check [`EvalDecision::generation`]), and a parse or
-    /// apply error leaves the published ruleset untouched.
+    /// apply error leaves the published ruleset untouched. A line that
+    /// re-submits an installed rule verbatim keeps that rule, with its
+    /// hit counter and throttle buckets.
     pub fn reload<'a>(
         &self,
         lines: impl IntoIterator<Item = &'a str>,
         mac: &mut MacPolicy,
         programs: &mut Interner,
+    ) -> PfResult<(usize, u64)> {
+        self.apply_batch(lines, mac, programs, true)
+    }
+
+    /// The one batch edit behind [`Self::install_all`] and
+    /// [`Self::reload`]: parses every line, then applies them to one
+    /// draft — onto an empty rule base when `replace` is set, onto the
+    /// published one otherwise — between a ReloadBegin event and a
+    /// ReloadCommit or ReloadAbort. The batch's `-E` directives take
+    /// effect after the commit. Returns the lines applied and the
+    /// generation now published; an appending batch of `-E` directives
+    /// alone publishes nothing.
+    fn apply_batch<'a>(
+        &self,
+        lines: impl IntoIterator<Item = &'a str>,
+        mac: &mut MacPolicy,
+        programs: &mut Interner,
+        replace: bool,
     ) -> PfResult<(usize, u64)> {
         let mut cmds = Vec::new();
         for line in lines {
@@ -379,6 +344,12 @@ impl ProcessFirewall {
         }
         let sampling = split_sampling(&mut cmds);
         let n = cmds.len() + sampling.len();
+        if cmds.is_empty() && !replace {
+            for mode in sampling {
+                self.events.set_sampling(mode);
+            }
+            return Ok((n, self.generation()));
+        }
         let before = self.shared.load();
         let t0 = Instant::now();
         self.events.emit_control(
@@ -389,22 +360,32 @@ impl ProcessFirewall {
             before.len() as u64,
             0,
         );
-        match self.shared.update(|d| {
-            d.reset_base();
-            for cmd in cmds {
-                apply_command(d, cmd)?;
+        let edit = self.shared.update(|d| {
+            if replace {
+                d.clear();
+                d.ctx_defaults.clear();
             }
-            Ok(())
-        }) {
+            cmds.into_iter().try_for_each(|cmd| apply_command(d, cmd))
+        });
+        match edit {
             Ok(((), generation)) => {
                 for mode in sampling {
                     self.events.set_sampling(mode);
                 }
-                self.note_batch_commit(&before, t0, generation);
+                self.note_commit(Some((before, t0)), generation);
                 Ok((n, generation))
             }
             Err(e) => {
-                self.note_batch_abort(&before, t0);
+                // The published snapshot is untouched: the event carries
+                // the surviving generation and rule count.
+                self.events.emit_control(
+                    EventKind::ReloadAbort,
+                    before.generation(),
+                    t0.elapsed().as_nanos() as u64,
+                    0,
+                    before.len() as u64,
+                    0,
+                );
                 Err(e)
             }
         }
@@ -414,7 +395,7 @@ impl ProcessFirewall {
     /// `text` (a new snapshot generation).
     pub fn delete_rule(&self, chain: &ChainName, text: &str) -> PfResult<()> {
         let span = self.control_span();
-        let ((), generation) = self.shared.update(|d| d.base.delete(chain, text))?;
+        let ((), generation) = self.shared.update(|d| d.delete(chain, text))?;
         self.note_commit(span, generation);
         Ok(())
     }
@@ -424,7 +405,7 @@ impl ProcessFirewall {
     pub fn clear_rules(&self) -> PfResult<u64> {
         let span = self.control_span();
         let ((), generation) = self.shared.update(|d| {
-            d.base.clear();
+            d.clear();
             Ok(())
         })?;
         self.note_commit(span, generation);
@@ -602,28 +583,19 @@ impl ProcessFirewall {
         self.logs.len()
     }
 
-    /// Resolves a decision's `dropped_by` attribution to the original
-    /// rule text — but only while the owning snapshot generation is
-    /// still the published one. After a hot reload the stored index may
-    /// point at a *different* rule in the newer snapshot, so a stale
-    /// decision yields `None` rather than mis-attributing the deny.
+    /// The original text of the rule a denial is attributed to. The
+    /// decision holds the rule itself, so this resolves across any
+    /// number of reloads, including ones that moved or removed it.
     pub fn attribute(&self, decision: &EvalDecision) -> Option<String> {
-        let (chain, index) = decision.dropped_by.as_ref()?;
-        let snap = self.base();
-        if snap.generation() != decision.generation {
-            return None;
-        }
-        snap.rule_text(&ChainName::parse(chain), *index)
-            .map(str::to_owned)
+        (decision.dropped_by.as_ref()).map(|by| by.rule.text.clone())
     }
 
-    /// Like [`attribute`](Self::attribute), but additionally refuses
-    /// when the decision predates the current *adversary-model*
-    /// generation (`adv_generation` — pass
-    /// `MacPolicy::adversary_generation()`). A taint widening between
-    /// the walk and the resolution means the stored index names a rule
-    /// the *pre*-widening adversary model selected; resolving it as if
-    /// it were current would misattribute the deny.
+    /// Like [`attribute`](Self::attribute), but refuses when the
+    /// decision predates the current *adversary-model* generation
+    /// (`adv_generation` — pass `MacPolicy::adversary_generation()`). A
+    /// taint widening between the walk and the resolution means the
+    /// rule was selected by the *pre*-widening adversary model; naming
+    /// it as if it were current would misattribute the deny.
     pub fn attribute_at(&self, decision: &EvalDecision, adv_generation: u64) -> Option<String> {
         if decision.adv_generation != adv_generation {
             return None;
@@ -954,7 +926,7 @@ fn event_rule_key(event_id: u64, decision: &EvalDecision, fired: u64) -> u64 {
     decision
         .dropped_by
         .as_ref()
-        .map_or(fired, |(c, i)| events::rule_key(c, *i))
+        .map_or(fired, |by| events::rule_key(by.chain.as_str(), by.index))
 }
 
 /// One invocation's traversal state: the pinned snapshot, the engine's
@@ -1114,11 +1086,21 @@ impl<'a> Invocation<'a> {
         self.run_seq(&ChainName::Input, merged, pkt, op, 0)
     }
 
-    /// The decision for a deny attributed to `chain[index]`.
-    fn deny(&self, chain: &ChainName, index: usize, degraded: bool) -> EvalDecision {
+    /// The decision for a deny attributed to `rule`, `chain[index]`.
+    fn deny(
+        &self,
+        chain: &ChainName,
+        index: usize,
+        rule: &Arc<Rule>,
+        degraded: bool,
+    ) -> EvalDecision {
         EvalDecision {
             verdict: Verdict::Deny,
-            dropped_by: Some((chain.name(), index)),
+            dropped_by: Some(DroppedBy {
+                chain: chain.clone(),
+                index,
+                rule: Arc::clone(rule),
+            }),
             generation: self.snap.generation(),
             degraded,
             adv_generation: 0,
@@ -1139,7 +1121,7 @@ impl<'a> Invocation<'a> {
     fn run_seq(
         &mut self,
         chain: &ChainName,
-        rules: impl Iterator<Item = (usize, &'a Rule)>,
+        rules: impl Iterator<Item = (usize, &'a Arc<Rule>)>,
         pkt: &mut Packet<'_>,
         op: LsmOperation,
         depth: u32,
@@ -1182,7 +1164,7 @@ impl<'a> Invocation<'a> {
                     // attributed to this rule and flagged degraded.
                     self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
-                    return Some(self.deny(chain, index, true));
+                    return Some(self.deny(chain, index, rule, true));
                 }
                 RuleEval::Match => {}
             }
@@ -1196,7 +1178,7 @@ impl<'a> Invocation<'a> {
                 Target::Drop => {
                     self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, LogTag::Static("DROP"), Verdict::Deny);
-                    return Some(self.deny(chain, index, self.degraded));
+                    return Some(self.deny(chain, index, rule, self.degraded));
                 }
                 Target::Accept => {
                     self.metrics.bump(Counter::Accepts);
@@ -1251,7 +1233,7 @@ impl<'a> Invocation<'a> {
     /// permissive) and traversal continues; `Some` is a deny.
     fn run_throttle(
         &mut self,
-        rule: &Rule,
+        rule: &Arc<Rule>,
         chain: &ChainName,
         index: usize,
         pkt: &mut Packet<'_>,
@@ -1283,7 +1265,7 @@ impl<'a> Invocation<'a> {
                     CtxPolicy::Drop => {
                         self.metrics.bump(Counter::Drops);
                         self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
-                        Some(self.deny(chain, index, true))
+                        Some(self.deny(chain, index, rule, true))
                     }
                     // Explicit opt-out (`--ctx-missing skip`): the rule
                     // stands aside, but never silently — the decision
@@ -1338,7 +1320,7 @@ impl<'a> Invocation<'a> {
     /// (or unaccountable, under `--ctx-missing match`) access.
     fn throttle_exceeded(
         &mut self,
-        rule: &Rule,
+        rule: &Arc<Rule>,
         chain: &ChainName,
         index: usize,
         pkt: &mut Packet<'_>,
@@ -1356,7 +1338,7 @@ impl<'a> Invocation<'a> {
             ExceedPolicy::Drop => {
                 self.metrics.bump(Counter::Drops);
                 self.emit_log(pkt, op, tag, Verdict::Deny);
-                Some(self.deny(chain, index, self.degraded))
+                Some(self.deny(chain, index, rule, self.degraded))
             }
             ExceedPolicy::Log => {
                 self.emit_log(pkt, op, tag, Verdict::Allow);
@@ -1782,6 +1764,13 @@ mod tests {
         pf.install(line, &mut env.mac, &mut env.programs).unwrap();
     }
 
+    /// Where a denial fired, as `(chain, index)`.
+    fn dropped_at(d: &EvalDecision) -> Option<(&str, usize)> {
+        d.dropped_by
+            .as_ref()
+            .map(|by| (by.chain.as_str(), by.index))
+    }
+
     #[test]
     fn default_policy_is_allow() {
         let pf = ProcessFirewall::new(OptLevel::Full);
@@ -1807,7 +1796,7 @@ mod tests {
         install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Deny);
-        assert_eq!(d.dropped_by, Some(("input".into(), 0)));
+        assert_eq!(dropped_at(&d), Some(("input", 0)));
         // A different label is untouched.
         let mut env2 = MockEnv::new().with_object("etc_t", 6, 0);
         pf.install(
@@ -1981,7 +1970,7 @@ mod tests {
         // Second delivery while the handler runs: dropped.
         let d2 = pf.evaluate(&mut env, LsmOperation::ProcessSignalDelivery);
         assert_eq!(d2.verdict, Verdict::Deny);
-        assert_eq!(d2.dropped_by.unwrap().0, "signal_chain");
+        assert_eq!(dropped_at(&d2).unwrap().0, "signal_chain");
     }
 
     #[test]
@@ -2428,7 +2417,7 @@ mod tests {
         // second input rule fires.
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Deny);
-        assert_eq!(d.dropped_by, Some(("input".into(), 1)));
+        assert_eq!(dropped_at(&d), Some(("input", 1)));
     }
 
     #[test]
@@ -2453,7 +2442,7 @@ mod tests {
         install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Deny, "empty jump target is a no-op");
-        assert_eq!(d.dropped_by, Some(("input".into(), 1)));
+        assert_eq!(dropped_at(&d), Some(("input", 1)));
     }
 
     #[test]
@@ -2698,7 +2687,7 @@ mod tests {
             let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
             assert_eq!(d.verdict, Verdict::Deny, "{level:?} must fail closed");
             assert!(d.degraded, "{level:?} decision is degraded");
-            assert_eq!(d.dropped_by, Some(("input".into(), 0)));
+            assert_eq!(dropped_at(&d), Some(("input", 0)));
             assert_eq!(pf.metrics().degraded_drops(), 1);
             assert_eq!(pf.metrics().degraded_allows(), 0);
             assert_eq!(
@@ -2820,7 +2809,7 @@ mod tests {
         install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Deny);
-        assert_eq!(d.dropped_by, Some(("input".into(), 2)));
+        assert_eq!(dropped_at(&d), Some(("input", 2)));
         assert_eq!(pf.metrics().rulesetc_dispatch(), 1);
         assert_eq!(pf.metrics().rulesetc_fallback(), 0);
         // Only the (FILE_OPEN, tmp_t) bucket was walked: the other two
@@ -2982,10 +2971,10 @@ mod tests {
         assert_eq!(pf.log_count(), 0);
     }
 
-    // --- generation-checked attribution (satellite 3) ---
+    // --- attribution and rule identity across generations ---
 
     #[test]
-    fn attribution_is_generation_checked_across_reloads() {
+    fn attribution_survives_reloads_that_move_or_remove_the_rule() {
         let pf = ProcessFirewall::new(OptLevel::Full);
         let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
         let rule = "pftables -o FILE_OPEN -d tmp_t -j DROP";
@@ -2994,20 +2983,108 @@ mod tests {
         assert_eq!(d.verdict, Verdict::Deny);
         assert_eq!(pf.attribute(&d).as_deref(), Some(rule));
 
-        // A reload shifts the rule to index 1: the stale decision's
-        // (generation, index) pair must not resolve against the new
-        // snapshot, where index 0 now names a different rule.
+        // A reload shifts the rule to index 1, where index 0 now names a
+        // different rule: the decision still names its own.
         pf.reload(
             ["pftables -o FILE_WRITE -j DROP", rule],
             &mut env.mac,
             &mut env.programs,
         )
         .unwrap();
-        assert_eq!(pf.attribute(&d), None, "stale generation never resolves");
-
+        assert_eq!(pf.attribute(&d).as_deref(), Some(rule));
         let d2 = pf.evaluate(&mut env, LsmOperation::FileOpen);
-        assert_eq!(d2.dropped_by, Some(("input".into(), 1)));
+        assert_eq!(dropped_at(&d2), Some(("input", 1)));
         assert_eq!(pf.attribute(&d2).as_deref(), Some(rule));
+
+        // A reload that removes the rule: both decisions still resolve.
+        pf.reload(
+            ["pftables -o FILE_WRITE -j DROP"],
+            &mut env.mac,
+            &mut env.programs,
+        )
+        .unwrap();
+        assert_eq!(pf.attribute(&d).as_deref(), Some(rule));
+        assert_eq!(pf.attribute(&d2).as_deref(), Some(rule));
+    }
+
+    #[test]
+    fn unchanged_rules_keep_their_identity_across_install_and_reload() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        let open = "pftables -o FILE_OPEN -d tmp_t -j DROP";
+        let write = "pftables -o FILE_WRITE -j DROP";
+        install(&pf, &mut env, open);
+        let first = Arc::clone(&pf.base().chain(&ChainName::Input)[0]);
+        pf.evaluate(&mut env, LsmOperation::FileOpen);
+        assert_eq!(first.hits(), 1);
+
+        install(&pf, &mut env, write);
+        assert!(Arc::ptr_eq(&pf.base().chain(&ChainName::Input)[0], &first));
+
+        // A verbatim reload re-parses every line and adopts the
+        // published rules, hit counts included.
+        pf.reload([open, write], &mut env.mac, &mut env.programs)
+            .unwrap();
+        let snap = pf.base();
+        let rules = snap.chain(&ChainName::Input);
+        assert!(Arc::ptr_eq(&rules[0], &first), "unchanged rule is shared");
+        assert_eq!(rules[0].hits(), 1, "its hit count survives");
+        let write_rule = Arc::clone(&rules[1]);
+
+        // A changed line is a new rule with a fresh count.
+        let changed = "pftables -o FILE_OPEN -d etc_t -j DROP";
+        pf.reload([changed, write], &mut env.mac, &mut env.programs)
+            .unwrap();
+        let snap = pf.base();
+        let rules = snap.chain(&ChainName::Input);
+        assert!(!Arc::ptr_eq(&rules[0], &first));
+        assert_eq!(rules[0].hits(), 0);
+        assert!(Arc::ptr_eq(&rules[1], &write_rule));
+    }
+
+    #[test]
+    fn hits_through_a_pinned_session_show_in_the_new_snapshot() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
+        let mut session = TaskSession::new();
+        let pinned = session.evaluate(&pf, &mut env, LsmOperation::FileOpen);
+        install(&pf, &mut env, "pftables -o FILE_WRITE -j DROP");
+        // In flight across the install: the old snapshot decides…
+        let d = session.evaluate_pinned(&pf, &mut env, LsmOperation::FileOpen);
+        assert_eq!(d.generation, pinned.generation);
+        assert_eq!(d.verdict, Verdict::Deny);
+        // …and its hit lands on the rule the new snapshot shares.
+        assert_eq!(pf.base().chain(&ChainName::Input)[0].hits(), 2);
+    }
+
+    #[test]
+    fn syshigh_change_between_reloads_is_honoured() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        let user = env.mac.lookup_label("user_t").unwrap();
+        env.subject = user;
+        let line = "pftables -s SYSHIGH -o FILE_OPEN -d tmp_t -j DROP";
+        pf.reload([line], &mut env.mac, &mut env.programs).unwrap();
+        assert_eq!(
+            pf.evaluate(&mut env, LsmOperation::FileOpen).verdict,
+            Verdict::Allow,
+            "user_t is outside SYSHIGH"
+        );
+        let old = Arc::clone(&pf.base().chain(&ChainName::Input)[0]);
+
+        // The same text now expands to a different set: it must not
+        // adopt the rule parsed against the old one.
+        env.mac.add_to_syshigh(user);
+        pf.reload([line], &mut env.mac, &mut env.programs).unwrap();
+        let snap = pf.base();
+        let new = &snap.chain(&ChainName::Input)[0];
+        assert!(!Arc::ptr_eq(new, &old));
+        assert!(new.def.subject.as_ref().unwrap().contains(user));
+        assert_eq!(
+            pf.evaluate(&mut env, LsmOperation::FileOpen).verdict,
+            Verdict::Deny
+        );
     }
 
     // --- config/clear error propagation (satellite 2) ---
@@ -3270,7 +3347,7 @@ mod tests {
         env.origin = Some(pf_mac::ORIGIN_TAINTED);
         let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
         assert_eq!(d.verdict, Verdict::Deny, "at-threshold origin is caught");
-        assert_eq!(d.dropped_by, Some(("input".into(), 0)));
+        assert_eq!(dropped_at(&d), Some(("input", 0)));
     }
 
     #[test]

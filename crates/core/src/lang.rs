@@ -38,7 +38,7 @@ pub enum RuleOp {
 }
 
 /// A parsed rule line.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ParsedRule {
     /// Placement/removal directive.
     pub op: RuleOp,
@@ -106,31 +106,30 @@ fn parse_num(tok: &str) -> PfResult<u64> {
     }
 }
 
-struct Cursor {
-    toks: Vec<String>,
+/// Walks a rule line's tokens, handing out borrowed slices.
+struct Cursor<'t> {
+    toks: &'t [String],
     pos: usize,
 }
 
-impl Cursor {
-    fn peek(&self) -> Option<&str> {
+impl<'t> Cursor<'t> {
+    fn peek(&self) -> Option<&'t str> {
         self.toks.get(self.pos).map(String::as_str)
     }
 
-    fn next(&mut self) -> Option<String> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn next(&mut self) -> Option<&'t str> {
+        let t = self.peek()?;
+        self.pos += 1;
+        Some(t)
     }
 
-    fn need(&mut self, what: &str) -> PfResult<String> {
+    fn need(&mut self, what: &str) -> PfResult<&'t str> {
         self.next().ok_or_else(|| err(format!("expected {what}")))
     }
 }
 
 /// A full `pftables` command: a rule operation or chain management.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum Command {
     /// Insert/append/delete a rule (boxed: far larger than its peers).
     Rule(Box<ParsedRule>),
@@ -161,7 +160,8 @@ pub fn parse_command(
     mac: &mut MacPolicy,
     programs: &mut Interner,
 ) -> PfResult<Command> {
-    let toks = tokenize(line.trim());
+    let line = line.trim();
+    let toks = tokenize(line);
     if toks.first().map(String::as_str) != Some("pftables") {
         return Err(err("rule must start with `pftables`"));
     }
@@ -217,7 +217,7 @@ pub fn parse_command(
                 .ok_or_else(|| err(format!("unknown sampling mode `{mode}`")))?;
             Ok(Command::SetSampling(mode))
         }
-        _ => parse_rule(line, mac, programs).map(|p| Command::Rule(Box::new(p))),
+        _ => parse_rule_tokens(line, &toks, mac, programs).map(|p| Command::Rule(Box::new(p))),
     }
 }
 
@@ -229,13 +229,20 @@ pub fn parse_rule(
     programs: &mut Interner,
 ) -> PfResult<ParsedRule> {
     let line = line.trim();
-    let mut cur = Cursor {
-        toks: tokenize(line),
-        pos: 0,
-    };
-    match cur.next().as_deref() {
-        Some("pftables") => {}
-        _ => return Err(err("rule must start with `pftables`")),
+    parse_rule_tokens(line, &tokenize(line), mac, programs)
+}
+
+/// Parses a rule from the tokens of its trimmed `line`, which becomes
+/// the rule's text.
+fn parse_rule_tokens(
+    line: &str,
+    toks: &[String],
+    mac: &mut MacPolicy,
+    programs: &mut Interner,
+) -> PfResult<ParsedRule> {
+    let mut cur = Cursor { toks, pos: 0 };
+    if cur.next() != Some("pftables") {
+        return Err(err("rule must start with `pftables`"));
     }
 
     let mut op: Option<RuleOp> = None;
@@ -245,7 +252,7 @@ pub fn parse_rule(
     let mut ctx_policy: Option<CtxPolicy> = None;
 
     while let Some(tok) = cur.next() {
-        match tok.as_str() {
+        match tok {
             "-t" => {
                 let table = cur.need("table name after -t")?;
                 if table != "filter" && table != "mangle" {
@@ -254,31 +261,31 @@ pub fn parse_rule(
             }
             "-I" => {
                 let chain = cur.need("chain after -I")?;
-                op = Some(RuleOp::InsertHead(ChainName::parse(&chain)));
+                op = Some(RuleOp::InsertHead(ChainName::parse(chain)));
             }
             "-A" => {
                 let chain = cur.need("chain after -A")?;
-                op = Some(RuleOp::Append(ChainName::parse(&chain)));
+                op = Some(RuleOp::Append(ChainName::parse(chain)));
             }
             "-D" => {
                 let chain = cur.need("chain after -D")?;
-                op = Some(RuleOp::Delete(ChainName::parse(&chain)));
+                op = Some(RuleOp::Delete(ChainName::parse(chain)));
             }
             "-s" => {
                 let set = cur.need("label set after -s")?;
-                def.subject = Some(parse_label_set(&set, mac)?);
+                def.subject = Some(parse_label_set(set, mac)?);
             }
             "-d" => {
                 let set = cur.need("label set after -d")?;
-                def.object = Some(parse_label_set(&set, mac)?);
+                def.object = Some(parse_label_set(set, mac)?);
             }
             "-i" => {
                 let pc = cur.need("entrypoint pc after -i")?;
-                def.entrypoint_pc = Some(parse_num(&pc)?);
+                def.entrypoint_pc = Some(parse_num(pc)?);
             }
             "-p" => {
                 let prog = cur.need("program path after -p")?;
-                def.program = Some(programs.intern(&prog));
+                def.program = Some(programs.intern(prog));
             }
             "-o" => {
                 let opname = cur.need("operation after -o")?;
@@ -286,11 +293,11 @@ pub fn parse_rule(
             }
             "-r" => {
                 let res = cur.need("resource id after -r")?;
-                def.resource = Some(parse_num(&res)?);
+                def.resource = Some(parse_num(res)?);
             }
             "--origin" => {
                 let level = cur.need("origin level after --origin")?;
-                def.origin = Some(pf_mac::parse_origin(&level).ok_or_else(|| {
+                def.origin = Some(pf_mac::parse_origin(level).ok_or_else(|| {
                     err(format!(
                         "unknown origin level `{level}` (trusted|external|tainted|N)"
                     ))
@@ -299,17 +306,17 @@ pub fn parse_rule(
             "--ctx-missing" => {
                 let pol = cur.need("policy after --ctx-missing")?;
                 ctx_policy = Some(
-                    CtxPolicy::parse(&pol)
+                    CtxPolicy::parse(pol)
                         .ok_or_else(|| err(format!("unknown --ctx-missing policy `{pol}`")))?,
                 );
             }
             "-m" => {
                 let module = cur.need("module name after -m")?;
-                matches.push(parse_match_module(&module, &mut cur, programs)?);
+                matches.push(parse_match_module(module, &mut cur, programs)?);
             }
             "-j" => {
                 let tname = cur.need("target after -j")?;
-                target = Some(parse_target(&tname, &mut cur)?);
+                target = Some(parse_target(tname, &mut cur)?);
             }
             other => return Err(err(format!("unexpected token `{other}`"))),
         }
@@ -326,7 +333,7 @@ pub fn parse_rule(
 
 fn parse_match_module(
     name: &str,
-    cur: &mut Cursor,
+    cur: &mut Cursor<'_>,
     programs_ref: &mut Interner,
 ) -> PfResult<MatchModule> {
     match name {
@@ -338,11 +345,11 @@ fn parse_match_module(
                 match opt {
                     "--key" => {
                         cur.next();
-                        key = Some(state_key(&cur.need("key")?));
+                        key = Some(state_key(cur.need("key")?));
                     }
                     "--cmp" => {
                         cur.next();
-                        cmp = Some(ValueExpr::parse(&cur.need("comparand")?).map_err(err)?);
+                        cmp = Some(ValueExpr::parse(cur.need("comparand")?).map_err(err)?);
                     }
                     "--nequal" => {
                         cur.next();
@@ -370,16 +377,16 @@ fn parse_match_module(
                 match opt {
                     "--arg" => {
                         cur.next();
-                        arg = Some(parse_num(&cur.need("arg index")?)? as u8);
+                        arg = Some(parse_num(cur.need("arg index")?)? as u8);
                     }
                     "--equal" => {
                         cur.next();
-                        cmp = Some(ValueExpr::parse(&cur.need("comparand")?).map_err(err)?);
+                        cmp = Some(ValueExpr::parse(cur.need("comparand")?).map_err(err)?);
                         negate = false;
                     }
                     "--nequal" => {
                         cur.next();
-                        cmp = Some(ValueExpr::parse(&cur.need("comparand")?).map_err(err)?);
+                        cmp = Some(ValueExpr::parse(cur.need("comparand")?).map_err(err)?);
                         negate = true;
                     }
                     _ => break,
@@ -399,11 +406,11 @@ fn parse_match_module(
                 match opt {
                     "--v1" => {
                         cur.next();
-                        v1 = Some(ValueExpr::parse(&cur.need("v1")?).map_err(err)?);
+                        v1 = Some(ValueExpr::parse(cur.need("v1")?).map_err(err)?);
                     }
                     "--v2" => {
                         cur.next();
-                        v2 = Some(ValueExpr::parse(&cur.need("v2")?).map_err(err)?);
+                        v2 = Some(ValueExpr::parse(cur.need("v2")?).map_err(err)?);
                     }
                     "--nequal" => {
                         cur.next();
@@ -455,7 +462,7 @@ fn parse_match_module(
                 match opt {
                     "--uid" => {
                         cur.next();
-                        uid = Some(parse_num(&cur.need("uid")?)?);
+                        uid = Some(parse_num(cur.need("uid")?)?);
                     }
                     "--nequal" => {
                         cur.next();
@@ -480,11 +487,11 @@ fn parse_match_module(
                 match opt {
                     "--script" => {
                         cur.next();
-                        script = Some(cur.need("script path")?);
+                        script = Some(cur.need("script path")?.to_owned());
                     }
                     "--line" => {
                         cur.next();
-                        line = Some(parse_num(&cur.need("line number")?)? as u32);
+                        line = Some(parse_num(cur.need("line number")?)? as u32);
                     }
                     _ => break,
                 }
@@ -507,21 +514,21 @@ fn parse_match_module(
             }
             let program = program.ok_or_else(|| err("CALLER requires --program"))?;
             Ok(MatchModule::Caller {
-                program: programs_ref.intern(&program),
+                program: programs_ref.intern(program),
             })
         }
         other => Err(err(format!("unknown match module `{other}`"))),
     }
 }
 
-fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
+fn parse_target(name: &str, cur: &mut Cursor<'_>) -> PfResult<Target> {
     match name {
         "DROP" => Ok(Target::Drop),
         "ACCEPT" => Ok(Target::Accept),
         "CONTINUE" => Ok(Target::Continue),
         "RETURN" => Ok(Target::Return),
         "LOG" => {
-            let mut tag = String::new();
+            let mut tag = "";
             while let Some(opt) = cur.peek() {
                 match opt {
                     "--tag" => {
@@ -550,11 +557,11 @@ fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
                     }
                     "--key" => {
                         cur.next();
-                        key = Some(state_key(&cur.need("key")?));
+                        key = Some(state_key(cur.need("key")?));
                     }
                     "--value" => {
                         cur.next();
-                        value = Some(ValueExpr::parse(&cur.need("value")?).map_err(err)?);
+                        value = Some(ValueExpr::parse(cur.need("value")?).map_err(err)?);
                     }
                     _ => break,
                 }
@@ -580,22 +587,22 @@ fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
                 match opt {
                     "--rate" => {
                         cur.next();
-                        rate = Some(parse_num(&cur.need("rate")?)?);
+                        rate = Some(parse_num(cur.need("rate")?)?);
                     }
                     "--burst" => {
                         cur.next();
-                        burst = Some(parse_num(&cur.need("burst")?)?);
+                        burst = Some(parse_num(cur.need("burst")?)?);
                     }
                     "--per" => {
                         cur.next();
                         let k = cur.need("per key")?;
-                        per = PerKey::parse(&k)
+                        per = PerKey::parse(k)
                             .ok_or_else(|| err(format!("unknown --per key `{k}`")))?;
                     }
                     "--exceed" => {
                         cur.next();
                         let p = cur.need("exceed policy")?;
-                        exceed = ExceedPolicy::parse(&p)
+                        exceed = ExceedPolicy::parse(p)
                             .ok_or_else(|| err(format!("unknown --exceed policy `{p}`")))?;
                     }
                     _ => break,
@@ -620,22 +627,22 @@ fn parse_target(name: &str, cur: &mut Cursor) -> PfResult<Target> {
                 match opt {
                     "--limit" => {
                         cur.next();
-                        limit = Some(parse_num(&cur.need("limit")?)?);
+                        limit = Some(parse_num(cur.need("limit")?)?);
                     }
                     "--window" => {
                         cur.next();
-                        window = parse_num(&cur.need("window")?)?;
+                        window = parse_num(cur.need("window")?)?;
                     }
                     "--per" => {
                         cur.next();
                         let k = cur.need("per key")?;
-                        per = PerKey::parse(&k)
+                        per = PerKey::parse(k)
                             .ok_or_else(|| err(format!("unknown --per key `{k}`")))?;
                     }
                     "--exceed" => {
                         cur.next();
                         let p = cur.need("exceed policy")?;
-                        exceed = ExceedPolicy::parse(&p)
+                        exceed = ExceedPolicy::parse(p)
                             .ok_or_else(|| err(format!("unknown --exceed policy `{p}`")))?;
                     }
                     _ => break,

@@ -102,7 +102,7 @@ pub use chain::{ChainName, RuleBase};
 pub use compile::{CompiledDispatch, MergeDispatch};
 pub use config::{OptLevel, PfConfig};
 pub use context::{CtxField, CONCACHE_SLOTS};
-pub use engine::{EvalDecision, ProcessFirewall, ThrottleOccupancy};
+pub use engine::{DroppedBy, EvalDecision, ProcessFirewall, ThrottleOccupancy};
 pub use env::{CtxError, EvalEnv, Fetched, ObjectInfo, SignalInfo};
 pub use events::{
     DecisionEvent, EventKind, EventPlane, EventVerdict, SamplingMode, ThrottleOutcome,

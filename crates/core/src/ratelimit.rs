@@ -215,10 +215,11 @@ impl Slot {
 
 /// The per-rule throttle table: [`SLOTS`] lock-free keyed buckets.
 ///
-/// One cell is allocated per RATELIMIT/QUOTA rule (shared through an
-/// `Arc` by every snapshot that carries the rule, which is what lets
-/// bucket state survive hot reloads — see
-/// `RuleBase::carry_throttle_state`).
+/// One cell is allocated per RATELIMIT/QUOTA rule, boxed inside the
+/// rule. Every snapshot that carries the rule shares its `Arc<Rule>`,
+/// and a reload that re-submits the rule verbatim adopts that `Arc`
+/// (see `snapshot.rs`), which is what lets bucket state survive hot
+/// reloads.
 #[derive(Debug)]
 pub struct ThrottleCell {
     slots: [Slot; SLOTS],

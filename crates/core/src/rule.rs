@@ -1,4 +1,11 @@
 //! Rule structure: default matches, match modules, targets.
+//!
+//! A [`Rule`] is parsed once and then shared: chains hold `Arc<Rule>`,
+//! published snapshots share the rules they have in common, and a
+//! denial's attribution names the rule itself. What the rule *says* is
+//! immutable; what it *has seen* — its hit counter and, for
+//! RATELIMIT/QUOTA targets, its token buckets — lives inside it as
+//! atomics and so follows the rule's identity across generations.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -277,11 +284,15 @@ impl Target {
 
 /// One complete firewall rule.
 ///
-/// The hit counter is a relaxed atomic so rules can be shared read-only
-/// across concurrently evaluating tasks (see `snapshot.rs`); `Clone`
-/// carries the current count forward (a reload-edited rule base keeps
-/// the tallies of the rules it retained), and equality ignores it — two
-/// rules are the same rule regardless of how often they have fired.
+/// Rules are shared values: chains hold them as `Arc<Rule>`, and every
+/// snapshot generation that carries a rule shares the one allocation
+/// (see `snapshot.rs`). A rule therefore has no `Clone` — its live state
+/// (the hit counter and throttle buckets) belongs to its identity, and
+/// a reload that re-submits the line verbatim adopts the published
+/// `Arc` instead of copying it. The hit counter is a relaxed atomic so
+/// concurrently evaluating tasks can bump it through that shared
+/// reference, and equality ignores it — two rules are the same rule
+/// regardless of how often they have fired.
 #[derive(Debug)]
 pub struct Rule {
     /// The default matches.
@@ -308,26 +319,9 @@ pub struct Rule {
     /// that a cached verdict would fail to replay.
     pub(crate) vc_impure_target: bool,
     /// Throttle state for RATELIMIT/QUOTA targets; `None` otherwise.
-    /// Shared by `Clone` (an `Arc`, like the rule itself in snapshots)
-    /// so in-flight buckets survive snapshot edits, and ignored by
-    /// equality — like `hits`, state is not part of a rule's identity.
-    pub(crate) throttle: Option<Arc<ThrottleCell>>,
-}
-
-impl Clone for Rule {
-    fn clone(&self) -> Self {
-        Rule {
-            def: self.def.clone(),
-            matches: self.matches.clone(),
-            target: self.target.clone(),
-            ctx_policy: self.ctx_policy,
-            text: self.text.clone(),
-            hits: AtomicU64::new(self.hits()),
-            vc_impure_match: self.vc_impure_match,
-            vc_impure_target: self.vc_impure_target,
-            throttle: self.throttle.clone(),
-        }
-    }
+    /// Boxed so the 1 KB table costs only throttle rules, and ignored
+    /// by equality — like `hits`, state is not part of what a rule says.
+    throttle: Option<Box<ThrottleCell>>,
 }
 
 impl PartialEq for Rule {
@@ -361,11 +355,7 @@ impl Rule {
                 | Target::RateLimit { .. }
                 | Target::Quota { .. }
         );
-        let throttle = if target.is_throttle() {
-            Some(Arc::new(ThrottleCell::new()))
-        } else {
-            None
-        };
+        let throttle = target.is_throttle().then(Box::default);
         Rule {
             def,
             matches,
@@ -380,16 +370,8 @@ impl Rule {
     }
 
     /// The throttle state cell backing a RATELIMIT/QUOTA target.
-    pub(crate) fn throttle_cell(&self) -> Option<&Arc<ThrottleCell>> {
-        self.throttle.as_ref()
-    }
-
-    /// Replaces this rule's throttle cell with `cell` — the hot-reload
-    /// carryover hook (see `RuleBase::carry_throttle_state`).
-    pub(crate) fn adopt_throttle(&mut self, cell: Arc<ThrottleCell>) {
-        if self.throttle.is_some() {
-            self.throttle = Some(cell);
-        }
+    pub(crate) fn throttle_cell(&self) -> Option<&ThrottleCell> {
+        self.throttle.as_deref()
     }
 
     /// Whether this rule is *pure* for the verdict cache: a traversal
@@ -508,7 +490,6 @@ mod tests {
             Target::Drop,
         );
         assert!(state.vc_impure_match && !state.vc_impure_target);
-        assert!(state.clone().vc_impure_match, "clone keeps the flags");
         assert!(rule(vec![], Target::Log { tag: "t".into() }).vc_impure_target);
         assert!(rule(
             vec![MatchModule::Compare {

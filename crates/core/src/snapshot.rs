@@ -12,10 +12,15 @@
 //! from `Mutex<Arc<RulesetSnapshot>>` plus an atomic generation mirror:
 //!
 //! * **Writers** (`pftables` commands, level changes, hot reloads) take
-//!   the mutex, clone the current snapshot's contents, apply their edit
-//!   to the clone, and store a fresh `Arc` with the generation bumped.
-//!   Holding the mutex across clone-edit-swap serializes writers, so
-//!   edits are never lost and generations are strictly ordered.
+//!   the mutex and edit a [`RulesetDraft`]: the published config, chain
+//!   defaults and rule *pointers* — rules are shared `Arc<Rule>` values,
+//!   so the draft copies no rule. Publication adopts the published
+//!   `Arc` for every re-submitted rule that equals one already in its
+//!   chain, compiles a new [`RuleBase`] only when the rules changed
+//!   (a config-only edit shares the published base), and stores a
+//!   fresh snapshot `Arc` with the generation bumped. Holding the mutex
+//!   across copy → edit → swap serializes writers, so edits are never
+//!   lost and generations are strictly ordered.
 //! * **Readers** call [`SharedRuleset::load`], which locks only long
 //!   enough to clone the `Arc` (two atomic ops; no allocation, no
 //!   contention with evaluation). Sessions avoid even that in the
@@ -31,32 +36,47 @@
 //! number is carried into every [`crate::engine::EvalDecision`] so
 //! tests (and auditors) can attribute each verdict to the exact ruleset
 //! that produced it.
+//!
+//! A rule's live state — its hit counter and throttle buckets — belongs
+//! to the rule, so it follows the rule's identity: every generation
+//! that shares the `Arc` shares the state, a session pinned to an old
+//! snapshot bumps the same counters as one on the new snapshot, and a
+//! changed rule (new text, or a `SYSHIGH` set that expanded
+//! differently) starts fresh.
 
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use pf_types::PfResult;
+use pf_types::{PfError, PfResult};
 
-use crate::chain::RuleBase;
+use crate::chain::{ChainName, Chains, RuleBase};
 use crate::config::PfConfig;
+use crate::rule::{CtxPolicy, Rule};
 
 /// One immutable published state of the firewall: the configuration,
-/// the compiled rule base (chains + dispatch tables), and the
-/// generation number under which it was published.
+/// the chain `--ctx-missing` defaults, the compiled rule base (chains +
+/// dispatch tables), and the generation number under which it was
+/// published.
 ///
 /// Snapshots are frozen at publication; all mutation happens on a
-/// private clone inside [`SharedRuleset::update`]. The rule hit
+/// [`RulesetDraft`] inside [`SharedRuleset::update`]. The rule hit
 /// counters inside are relaxed atomics and remain live — they are
 /// statistics, not semantics.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RulesetSnapshot {
     config: PfConfig,
-    base: RuleBase,
+    /// Chain-level `--ctx-missing` defaults (`pftables -P chain
+    /// --ctx-missing ...`), consulted when a rule has no override.
+    ctx_defaults: BTreeMap<ChainName, CtxPolicy>,
+    /// Shared with the previous snapshot when the edit left the rules
+    /// alone.
+    base: Arc<RuleBase>,
     generation: u64,
-    /// Wall-clock nanoseconds the deferred snapshot compile took inside
-    /// the [`SharedRuleset::update`] that published this snapshot; 0
-    /// when the edit touched no rules (e.g. a level change).
+    /// Wall-clock nanoseconds the compile took inside the
+    /// [`SharedRuleset::update`] that published this snapshot; 0 when
+    /// the edit left the rules unchanged (e.g. a level change).
     compile_ns: u64,
 }
 
@@ -83,11 +103,9 @@ impl RulesetSnapshot {
         self.compile_ns
     }
 
-    /// The original text of the rule at `index` in `chain`, if any.
-    /// Used to resolve a deny attribution against the snapshot that
-    /// actually produced it (see `ProcessFirewall::attribute`).
-    pub fn rule_text(&self, chain: &crate::chain::ChainName, index: usize) -> Option<&str> {
-        self.base.chain(chain).get(index).map(|r| r.text.as_str())
+    /// The chain's `--ctx-missing` default, if one was configured.
+    pub fn ctx_default(&self, chain: &ChainName) -> Option<CtxPolicy> {
+        self.ctx_defaults.get(chain).copied()
     }
 
     /// Every installed rule's original text, sorted — the multiset the
@@ -105,8 +123,10 @@ impl RulesetSnapshot {
 
     /// The rule-diff size against `other`: rules present in one
     /// snapshot's text multiset but not the other's (added + removed).
-    /// Text-level, order-insensitive — the same measure the throttle
-    /// carryover uses to decide which rules "survived" a reload.
+    /// Text-level and order-insensitive, so it counts what an operator
+    /// changed in the rule lines. Rule identity is stricter: a line
+    /// whose `SYSHIGH` expansion changed is no diff here, but it is a
+    /// new rule with fresh state.
     pub fn rule_diff(&self, other: &RulesetSnapshot) -> u64 {
         let a = self.rule_texts_sorted();
         let b = other.rule_texts_sorted();
@@ -140,25 +160,147 @@ impl Deref for RulesetSnapshot {
 }
 
 /// The mutable draft a [`SharedRuleset::update`] closure edits before
-/// it is frozen into the next snapshot.
+/// it is published as the next snapshot.
+///
+/// The draft starts as a copy of the published state. Its chains hold
+/// the published rules' pointers, so the copy shares every rule, and
+/// the mutators only edit those lists — the compile runs once, at
+/// publication, and only when the rules changed.
 #[derive(Debug)]
 pub struct RulesetDraft {
     /// The configuration to publish.
     pub config: PfConfig,
-    /// The rule base to publish.
-    pub base: RuleBase,
+    /// The chain `--ctx-missing` defaults to publish.
+    pub ctx_defaults: BTreeMap<ChainName, CtxPolicy>,
+    chains: Chains,
 }
 
 impl RulesetDraft {
-    /// Replaces the draft's rule base with an empty one — the
-    /// `pftables-restore` wipe — keeping the batch-compile deferral
-    /// active so the rebuilt base still compiles exactly once at
-    /// publication. (Assigning `draft.base` a fresh `RuleBase` directly
-    /// also works, but recompiles per mutation.)
-    pub fn reset_base(&mut self) {
-        self.base = RuleBase::new();
-        self.base.set_deferred();
+    /// Appends (or with `insert_head`, prepends) a rule to a chain.
+    pub fn add(&mut self, chain: ChainName, rule: Rule, insert_head: bool) {
+        let rules = self.chains.entry(chain).or_default();
+        let rule = Arc::new(rule);
+        if insert_head {
+            rules.insert(0, rule);
+        } else {
+            rules.push(rule);
+        }
     }
+
+    /// Deletes the first rule in `chain` whose text equals `text`.
+    pub fn delete(&mut self, chain: &ChainName, text: &str) -> PfResult<()> {
+        let rules = self
+            .chains
+            .get_mut(chain)
+            .ok_or_else(|| PfError::RuleError(format!("no such chain {chain:?}")))?;
+        let pos = rules
+            .iter()
+            .position(|r| r.text == text)
+            .ok_or_else(|| PfError::RuleError(format!("no matching rule in {chain:?}")))?;
+        rules.remove(pos);
+        Ok(())
+    }
+
+    /// Removes every rule and every chain.
+    pub fn clear(&mut self) {
+        self.chains.clear();
+    }
+
+    /// Declares an empty user chain (`pftables -N name`).
+    pub fn new_chain(&mut self, chain: ChainName) -> PfResult<()> {
+        if self.chains.contains_key(&chain) {
+            return Err(PfError::RuleError(format!(
+                "chain `{}` already exists",
+                chain.name()
+            )));
+        }
+        self.chains.insert(chain, Vec::new());
+        Ok(())
+    }
+
+    /// Empties one chain (`pftables -F chain`), keeping it declared.
+    pub fn flush(&mut self, chain: &ChainName) -> PfResult<()> {
+        match self.chains.get_mut(chain) {
+            Some(rules) => {
+                rules.clear();
+                Ok(())
+            }
+            None => Err(PfError::RuleError(format!(
+                "no such chain `{}`",
+                chain.name()
+            ))),
+        }
+    }
+
+    /// Deletes an *empty user* chain (`pftables -X name`). Built-in
+    /// chains cannot be deleted, and non-empty chains must be flushed
+    /// first — `iptables` semantics.
+    pub fn delete_chain(&mut self, chain: &ChainName) -> PfResult<()> {
+        if !matches!(chain, ChainName::User(_)) {
+            return Err(PfError::RuleError(format!(
+                "cannot delete built-in chain `{}`",
+                chain.name()
+            )));
+        }
+        match self.chains.get(chain) {
+            Some(rules) if rules.is_empty() => {
+                self.chains.remove(chain);
+                Ok(())
+            }
+            Some(_) => Err(PfError::RuleError(format!(
+                "chain `{}` is not empty (flush it first)",
+                chain.name()
+            ))),
+            None => Err(PfError::RuleError(format!(
+                "no such chain `{}`",
+                chain.name()
+            ))),
+        }
+    }
+
+    /// Adoption at publication: every rule this edit added that equals
+    /// a rule of the same chain in `published` (text and parse alike,
+    /// by `Rule: PartialEq`) is replaced by that rule's `Arc`, so a line
+    /// re-submitted verbatim keeps its identity, its hit counter and its
+    /// throttle buckets. Published rules the draft kept pair with
+    /// themselves; the rest pair with added rules first-come, so
+    /// duplicates pair in order and a changed rule keeps its fresh state.
+    fn adopt(&mut self, published: &RuleBase) {
+        // Only the draft holds a rule the edit added; every rule it kept
+        // is also held by `published`.
+        let added = |r: &Arc<Rule>| Arc::strong_count(r) == 1;
+        for (chain, rules) in self.chains.iter_mut() {
+            if !rules.iter().any(added) {
+                continue;
+            }
+            let mut spare: HashMap<&str, Vec<&Arc<Rule>>> = HashMap::new();
+            for old in published.chain(chain) {
+                spare.entry(old.text.as_str()).or_default().push(old);
+            }
+            for kept in rules.iter().filter(|r| !added(r)) {
+                if let Some(queue) = spare.get_mut(kept.text.as_str()) {
+                    queue.retain(|old| !Arc::ptr_eq(old, kept));
+                }
+            }
+            for rule in rules.iter_mut().filter(|r| added(r)) {
+                let Some(queue) = spare.get_mut(rule.text.as_str()) else {
+                    continue;
+                };
+                if let Some(pos) = queue.iter().position(|old| ***old == **rule) {
+                    *rule = Arc::clone(queue.remove(pos));
+                }
+            }
+        }
+    }
+}
+
+/// Whether two chain sets hold the same rules — the same `Arc`s, in
+/// the same chains and order.
+fn same_rules(a: &Chains, b: &Chains) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|((ca, ra), (cb, rb))| {
+            ca == cb && ra.len() == rb.len() && ra.iter().zip(rb).all(|(x, y)| Arc::ptr_eq(x, y))
+        })
 }
 
 /// The shared swap cell holding the currently published snapshot.
@@ -187,7 +329,8 @@ impl SharedRuleset {
         SharedRuleset {
             current: Mutex::new(Arc::new(RulesetSnapshot {
                 config,
-                base: RuleBase::new(),
+                ctx_defaults: BTreeMap::new(),
+                base: Arc::new(RuleBase::compile(Chains::new())),
                 generation: 0,
                 compile_ns: 0,
             })),
@@ -224,7 +367,7 @@ impl SharedRuleset {
     /// `edit` fails — the all-or-nothing contract every rule command
     /// and the hot-reload path rely on.
     ///
-    /// The writer lock is held across clone → edit → swap, so
+    /// The writer lock is held across copy → edit → swap, so
     /// concurrent updates serialize and none is lost.
     pub fn update<T>(
         &self,
@@ -233,29 +376,23 @@ impl SharedRuleset {
         let mut current = self.lock_current();
         let mut draft = RulesetDraft {
             config: current.config,
-            base: current.base.clone(),
+            ctx_defaults: current.ctx_defaults.clone(),
+            chains: current.base.chains().clone(),
         };
-        // Batch-compile: a restore-style edit adds thousands of rules,
-        // and recompiling the dispatch tables per mutation is quadratic. Defer, then compile once (timed) below.
-        draft.base.set_deferred();
         let value = edit(&mut draft)?;
-        // Throttle-state carryover: RATELIMIT/QUOTA rules re-submitted
-        // verbatim (a hot `reload()` re-parses every line into fresh
-        // `Rule`s) keep their in-flight token buckets; changed rules
-        // start fresh. Clone-path edits already share cells through
-        // `Rule::clone`, for which this is a no-op re-adoption.
-        draft.base.carry_throttle_state(&current.base);
-        let t0 = std::time::Instant::now();
-        let recompiled = draft.base.finish_deferred();
-        let compile_ns = if recompiled {
-            t0.elapsed().as_nanos() as u64
+        draft.adopt(&current.base);
+        let (base, compile_ns) = if same_rules(&draft.chains, current.base.chains()) {
+            (Arc::clone(&current.base), 0)
         } else {
-            0
+            let t0 = std::time::Instant::now();
+            let base = RuleBase::compile(draft.chains);
+            (Arc::new(base), t0.elapsed().as_nanos() as u64)
         };
         let generation = current.generation + 1;
         *current = Arc::new(RulesetSnapshot {
             config: draft.config,
-            base: draft.base,
+            ctx_defaults: draft.ctx_defaults,
+            base,
             generation,
             compile_ns,
         });
@@ -267,9 +404,8 @@ impl SharedRuleset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::ChainName;
-    use crate::rule::{DefaultMatches, Rule, Target};
-    use pf_types::PfError;
+    use crate::config::OptLevel;
+    use crate::rule::{DefaultMatches, Target};
 
     fn rule(text: &str) -> Rule {
         Rule::new(DefaultMatches::default(), vec![], Target::Drop, text.into())
@@ -281,7 +417,7 @@ mod tests {
         assert_eq!(shared.generation(), 0);
         let ((), gen) = shared
             .update(|d| {
-                d.base.add(ChainName::Input, rule("a"), false);
+                d.add(ChainName::Input, rule("a"), false);
                 Ok(())
             })
             .unwrap();
@@ -295,12 +431,12 @@ mod tests {
         let shared = SharedRuleset::new(PfConfig::default());
         shared
             .update(|d| {
-                d.base.add(ChainName::Input, rule("a"), false);
+                d.add(ChainName::Input, rule("a"), false);
                 Ok(())
             })
             .unwrap();
         let err = shared.update(|d| -> PfResult<()> {
-            d.base.clear(); // draft mutation that must be discarded
+            d.clear(); // draft mutation that must be discarded
             Err(PfError::RuleError("nope".into()))
         });
         assert!(err.is_err());
@@ -313,15 +449,15 @@ mod tests {
         let shared = SharedRuleset::new(PfConfig::default());
         shared
             .update(|d| {
-                d.base.add(ChainName::Input, rule("old"), false);
+                d.add(ChainName::Input, rule("old"), false);
                 Ok(())
             })
             .unwrap();
         let pinned = shared.load();
         shared
             .update(|d| {
-                d.base.clear();
-                d.base.add(ChainName::Input, rule("new"), false);
+                d.clear();
+                d.add(ChainName::Input, rule("new"), false);
                 Ok(())
             })
             .unwrap();
@@ -335,8 +471,8 @@ mod tests {
         let shared = SharedRuleset::new(PfConfig::default());
         shared
             .update(|d| {
-                d.base.add(ChainName::Input, rule("a"), false);
-                d.base.add(ChainName::Input, rule("b"), false);
+                d.add(ChainName::Input, rule("a"), false);
+                d.add(ChainName::Input, rule("b"), false);
                 Ok(())
             })
             .unwrap();
@@ -344,8 +480,8 @@ mod tests {
         assert_eq!(old.rule_diff(&old), 0);
         shared
             .update(|d| {
-                d.base.delete(&ChainName::Input, "a")?;
-                d.base.add(ChainName::Input, rule("c"), false);
+                d.delete(&ChainName::Input, "a")?;
+                d.add(ChainName::Input, rule("c"), false);
                 Ok(())
             })
             .unwrap();
@@ -361,5 +497,71 @@ mod tests {
             shared.update(|_| Ok(())).unwrap();
             assert_eq!(shared.generation(), shared.load().generation());
         }
+    }
+
+    #[test]
+    fn config_only_edit_shares_the_compiled_base() {
+        let shared = SharedRuleset::new(PfConfig::default());
+        shared
+            .update(|d| {
+                d.add(ChainName::Input, rule("a"), false);
+                Ok(())
+            })
+            .unwrap();
+        let before = shared.load();
+        shared
+            .update(|d| {
+                d.config = OptLevel::RulesetC.config();
+                d.ctx_defaults.insert(ChainName::Input, CtxPolicy::Drop);
+                Ok(())
+            })
+            .unwrap();
+        let after = shared.load();
+        assert_eq!(after.config(), OptLevel::RulesetC.config());
+        assert_eq!(after.ctx_default(&ChainName::Input), Some(CtxPolicy::Drop));
+        assert_eq!(after.compile_ns(), 0, "nothing to compile");
+        assert!(std::ptr::eq(before.base(), after.base()), "base is shared");
+    }
+
+    #[test]
+    fn adoption_pairs_duplicates_first_come() {
+        let shared = SharedRuleset::new(PfConfig::default());
+        let chain = |snap: &RulesetSnapshot| snap.chain(&ChainName::Input).to_vec();
+        shared
+            .update(|d| {
+                d.add(ChainName::Input, rule("a"), false);
+                d.add(ChainName::Input, rule("a"), false);
+                Ok(())
+            })
+            .unwrap();
+        let old = chain(&shared.load());
+        assert!(!Arc::ptr_eq(&old[0], &old[1]), "duplicates are two rules");
+
+        // Re-submitted verbatim, each duplicate adopts its counterpart
+        // in order, and the unchanged rules need no compile.
+        shared
+            .update(|d| {
+                d.clear();
+                d.add(ChainName::Input, rule("a"), false);
+                d.add(ChainName::Input, rule("a"), false);
+                Ok(())
+            })
+            .unwrap();
+        let snap = shared.load();
+        let new = chain(&snap);
+        assert!(Arc::ptr_eq(&new[0], &old[0]) && Arc::ptr_eq(&new[1], &old[1]));
+        assert_eq!(snap.compile_ns(), 0);
+
+        // A duplicate inserted ahead of kept rules stays fresh: the kept
+        // rules pair with themselves first.
+        shared
+            .update(|d| {
+                d.add(ChainName::Input, rule("a"), true);
+                Ok(())
+            })
+            .unwrap();
+        let new = chain(&shared.load());
+        assert!(Arc::ptr_eq(&new[1], &old[0]) && Arc::ptr_eq(&new[2], &old[1]));
+        assert!(!Arc::ptr_eq(&new[0], &old[0]) && !Arc::ptr_eq(&new[0], &old[1]));
     }
 }

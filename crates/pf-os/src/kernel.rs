@@ -709,7 +709,9 @@ pub(crate) fn pf_hook(
     match decision.verdict {
         pf_types::Verdict::Allow => Ok(()),
         pf_types::Verdict::Deny => {
-            let (chain, rule_index) = decision.dropped_by.unwrap_or_else(|| ("?".to_owned(), 0));
+            let (chain, rule_index) = decision
+                .dropped_by
+                .map_or_else(|| ("?".to_owned(), 0), |by| (by.chain.name(), by.index));
             Err(PfError::FirewallDenied { chain, rule_index })
         }
     }
