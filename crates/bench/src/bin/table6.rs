@@ -5,8 +5,11 @@
 //! the paper's table does: DISABLED (hook off), BASE (default allow
 //! only), FULL (1218 rules, no optimizations), CONCACHE (+ context
 //! caching), LAZYCON (+ lazy context), EPTSPC (+ entrypoint chains) —
-//! plus the VCACHE extension (+ per-task verdict caching; see
-//! `table6_vcache` for its dedicated repeated-invocation harness).
+//! plus two extensions: VCACHE (+ per-task verdict caching; see
+//! `table6_vcache` for its dedicated repeated-invocation harness) and
+//! RULESETC (+ compiled three-axis dispatch; see `table6_rulesetc`).
+//! The Table 5 base holds impure rules, so both extension columns
+//! bypass the verdict cache and walk their selection on every hook.
 
 use pf_bench::micro::{op_runner, SYSCALLS};
 use pf_bench::{dump_metrics_json, overhead_pct, time_per_iter, us, world_at, RuleSet};

@@ -245,6 +245,12 @@ pub struct MergeDispatch<'s> {
 }
 
 impl<'s> MergeDispatch<'s> {
+    /// Whether no index is left to walk: every selected bucket is empty.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
     #[inline]
     fn push(&mut self, slice: &'s [usize]) {
         if !slice.is_empty() {

@@ -21,14 +21,18 @@ pub struct PfConfig {
     /// (program, pc) so only the applicable chain is traversed.
     pub entrypoint_chains: bool,
     /// VCACHE: memoize whole verdicts in a per-task cache keyed by the
-    /// operation and its key context fields, consulted before the chain
-    /// walk. Only traversals the cacheability analysis proves
-    /// key-determined are inserted (see `chain.rs` / `engine.rs`).
+    /// operation and its key context fields. The cache is consulted
+    /// after dispatch selection, and only when the selection holds a
+    /// rule, in place of walking it. Only traversals the cacheability
+    /// analysis proves key-determined are inserted (see `chain.rs` /
+    /// `engine.rs`).
     pub verdict_cache: bool,
-    /// RULESETC: evaluate the input chain through the compiled
+    /// RULESETC: select from the input chain through the compiled
     /// per-(op, label, entrypoint) dispatch tables built at snapshot
-    /// compile time, so a miss walks only the rules that can possibly
-    /// match instead of the whole partition (see `compile.rs`).
+    /// compile time, so a hook selects only the rules that can possibly
+    /// match instead of the whole partition: more hooks select nothing
+    /// and skip the verdict cache, and a miss walks only its selection
+    /// (see `compile.rs`).
     pub compiled_dispatch: bool,
 }
 
@@ -45,8 +49,9 @@ impl Default for PfConfig {
 /// `DISABLED → BASE → FULL → CONCACHE → LAZYCON → EPTSPC → VCACHE →
 /// RULESETC`. VCACHE and RULESETC extend the paper's ladder: beyond
 /// caching *context*, VCACHE caches whole *verdicts* per task, and
-/// RULESETC compiles the chain into indexed dispatch tables so even a
-/// verdict-cache miss skips the rules that cannot match.
+/// RULESETC compiles the chain into indexed dispatch tables so the
+/// selection made before the verdict cache already skips the rules
+/// that cannot match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptLevel {
     /// Firewall completely off.
@@ -63,7 +68,7 @@ pub enum OptLevel {
     EptSpc,
     /// + per-task verdict cache.
     Vcache,
-    /// + compiled indexed dispatch for the miss path.
+    /// + compiled indexed dispatch on all three axes.
     RulesetC,
 }
 
@@ -195,8 +200,9 @@ mod tests {
 
     #[test]
     fn default_is_fully_optimized() {
-        // VCACHE is opt-in (it trades LOG/hit-counter fidelity on cached
-        // paths for speed), so the default stays at EPTSPC.
+        // VCACHE is opt-in (a hit renders its DROP record, but it walks
+        // no rule, so per-rule hit counters miss it), so the default
+        // stays at EPTSPC.
         assert_eq!(PfConfig::default(), OptLevel::EptSpc.config());
     }
 

@@ -45,7 +45,7 @@ use pf_types::{Interner, LsmOperation, PfResult, Verdict};
 use pf_mac::MacPolicy;
 
 use crate::chain::ChainName;
-use crate::compile::CompiledDispatch;
+use crate::compile::{CompiledDispatch, MergeDispatch};
 use crate::config::{OptLevel, PfConfig};
 use crate::context::Packet;
 use crate::env::{CtxError, EvalEnv, Fetched};
@@ -643,6 +643,13 @@ impl ProcessFirewall {
     /// explicit snapshot, optionally consulting a per-task
     /// [`VerdictCache`] (the VCACHE rung; see `vcache.rs` for the
     /// soundness gates).
+    ///
+    /// The hook runs in stages: *admit* counts the invocation and arms
+    /// the event gate; *select* picks, once, the rules this hook can
+    /// reach ([`Invocation::select`]); *memo* consults the verdict
+    /// cache, but only for a selection that holds a rule; *walk* runs
+    /// the selection when the memo did not answer; *finalize* and
+    /// *emit* are shared by hits and walks.
     pub(crate) fn evaluate_cached(
         &self,
         snap: &RulesetSnapshot,
@@ -652,6 +659,7 @@ impl ProcessFirewall {
         cache: Option<&mut VerdictCache>,
         shard: usize,
     ) -> EvalDecision {
+        // Admit.
         let config = snap.config();
         // One atomic load; also stamps every decision this invocation
         // produces so `attribute_at` can detect cross-widening holds.
@@ -674,106 +682,21 @@ impl ProcessFirewall {
         } else {
             (0, None)
         };
-        let mut vc_outcome = VcacheOutcome::None;
         // LOG rules run before the verdict is known; they buffer in the
         // invocation-local scratch so a later DROP can patch exactly
         // this invocation's records before they reach the shared sink.
         scratch.clear();
         let mut pkt = Packet::new(env, config);
-        // VCACHE: consult the verdict cache before walking. Key fetches
-        // go through the memoizing packet, so a miss's walk reuses them.
-        let mut cache_ctx = None;
-        if let Some(vc) = cache {
-            if config.verdict_cache && !snap.is_empty() {
-                // Adversary-model soundness: keys carry the object label,
-                // not the `C_ADV_WRITE`/`C_ADV_READ` answers it stands
-                // for. A taint widening (or a policy edit) changes those
-                // answers without moving any key, so a stale generation
-                // discards the whole cache before any lookup can replay
-                // a pre-widening verdict.
-                if vc.validate_adv_generation(adv_gen) {
-                    self.metrics.bump(Counter::OriginVcacheInvalidations);
-                }
-                // The snapshot's compile-time summary is the fast-path
-                // filter: if any reachable rule is impure, no walk can
-                // ever be cached, so skip the key build entirely — it
-                // would eagerly unwind the entrypoint and fetch object
-                // context that LAZYCON would otherwise defer.
-                if !snap.statically_cacheable() {
-                    self.metrics.bump_split(
-                        Counter::VcacheUncacheable,
-                        OpCounter::VcacheUncacheable,
-                        op,
-                    );
-                    vc_outcome = VcacheOutcome::Uncacheable;
-                } else {
-                    match VerdictKey::build(&mut pkt, op, snap.keys_resource(), &self.metrics) {
-                        Some(key) => {
-                            if let Some(entry) = vc.lookup(&key) {
-                                self.metrics.bump_split(
-                                    Counter::VcacheHits,
-                                    OpCounter::VcacheHits,
-                                    op,
-                                );
-                                vc_outcome = VcacheOutcome::Hit;
-                                // Hits bump the verdict counter the original
-                                // walk would have, so the partition
-                                // `drops + accepts + default_allows ==
-                                // invocations` keeps holding.
-                                match entry.kind {
-                                    VerdictKind::Drop => self.metrics.bump(Counter::Drops),
-                                    VerdictKind::Accept => self.metrics.bump(Counter::Accepts),
-                                    VerdictKind::DefaultAllow => {
-                                        self.metrics.bump(Counter::DefaultAllows)
-                                    }
-                                }
-                                let decision = entry.decision.clone();
-                                // A cacheable walk logs only its DROP line
-                                // (LOG targets block caching, CTXFAIL
-                                // implies degraded). Capture it from this
-                                // invocation: the entry may have been
-                                // filled by another object of the class.
-                                if entry.kind == VerdictKind::Drop {
-                                    self.logs.push(log_record(
-                                        &mut pkt,
-                                        op,
-                                        LogTag::Static("DROP"),
-                                        Verdict::Deny,
-                                        &self.metrics,
-                                    ));
-                                }
-                                self.metrics.observe_eval(t0);
-                                let rk = event_rule_key(event_id, &decision, 0);
-                                self.emit_decision_event(
-                                    gate,
-                                    shard,
-                                    event_id,
-                                    ev_t0,
-                                    &mut pkt,
-                                    op,
-                                    &decision,
-                                    entry.kind.into(),
-                                    vc_outcome,
-                                    ThrottleOutcome::None,
-                                    0,
-                                    rk,
-                                );
-                                return decision;
-                            }
-                            cache_ctx = Some((vc, key));
-                        }
-                        // A key field *failed* to fetch: the outcome is not
-                        // attributable to key context — bypass the cache.
-                        None => {
-                            self.metrics.bump_split(
-                                Counter::VcacheUncacheable,
-                                OpCounter::VcacheUncacheable,
-                                op,
-                            );
-                            vc_outcome = VcacheOutcome::Uncacheable;
-                        }
-                    }
-                }
+        let mut cache = cache.filter(|_| config.verdict_cache && !snap.is_empty());
+        if let Some(vc) = cache.as_deref_mut() {
+            // Adversary-model soundness: keys carry the object label,
+            // not the `C_ADV_WRITE`/`C_ADV_READ` answers it stands for.
+            // A taint widening (or a policy edit) changes those answers
+            // without moving any key, so a stale generation discards
+            // the whole cache before any lookup can replay a
+            // pre-widening verdict.
+            if vc.validate_adv_generation(adv_gen) {
+                self.metrics.bump(Counter::OriginVcacheInvalidations);
             }
         }
         let mut inv = Invocation {
@@ -782,37 +705,77 @@ impl ProcessFirewall {
             metrics: &self.metrics,
             logs: scratch,
             degraded: false,
-            cache_track: cache_ctx.is_some(),
+            cache_track: false,
             cache_blocked: false,
             event_id,
             hops: 0,
             throttle: ThrottleOutcome::None,
             fired_rule: 0,
         };
-        let run = inv.run(&mut pkt, op);
-        let degraded = inv.degraded;
-        let cache_blocked = inv.cache_blocked;
-        let hops = inv.hops;
-        let throttle = inv.throttle;
-        let fired_rule = inv.fired_rule;
-        let (mut decision, kind) = match run {
-            Some(d) => {
-                let kind = match d.verdict {
-                    Verdict::Deny => VerdictKind::Drop,
-                    Verdict::Allow => VerdictKind::Accept,
-                };
-                (d, kind)
+        // Select.
+        let mut selection = inv.select(&mut pkt, op);
+        // Memo.
+        let mut vc_outcome = VcacheOutcome::None;
+        let mut hit = None;
+        let mut miss = None;
+        if let Some(vc) = cache {
+            if !snap.statically_cacheable() {
+                // The snapshot's compile-time summary is the fast-path
+                // filter: if any reachable rule is impure, no walk can
+                // ever be cached, so skip the key build entirely — it
+                // would fetch object context that LAZYCON would
+                // otherwise defer.
+                vc_outcome = VcacheOutcome::Uncacheable;
+            } else if !selection.is_empty() {
+                // An empty selection builds no key: there is no walk for
+                // a hit to stand in for. Key fetches reuse what selection
+                // read, so a failed unwind or label read fails the build
+                // and bypasses the cache.
+                match VerdictKey::build(&mut pkt, op, snap.keys_resource(), &self.metrics) {
+                    Some(key) => match vc.lookup(&key) {
+                        Some(entry) => {
+                            vc_outcome = VcacheOutcome::Hit;
+                            hit = Some(entry.clone());
+                        }
+                        None => miss = Some((vc, key)),
+                    },
+                    None => vc_outcome = VcacheOutcome::Uncacheable,
+                }
+            }
+        }
+        // Walk, unless the memo answered.
+        let (mut decision, kind) = match hit {
+            Some(entry) => {
+                // A cacheable walk logs only its DROP line (LOG targets
+                // block caching, CTXFAIL implies degraded). Capture it
+                // from this invocation: the entry may have been filled
+                // by another object of the class.
+                if entry.kind == VerdictKind::Drop {
+                    inv.emit_log(&mut pkt, op, LogTag::Static("DROP"), Verdict::Deny);
+                }
+                (entry.decision, entry.kind)
             }
             None => {
-                self.metrics.bump(Counter::DefaultAllows);
-                (
-                    EvalDecision::allow(snap.generation()),
-                    VerdictKind::DefaultAllow,
-                )
+                inv.cache_track = miss.is_some();
+                match inv.walk(&mut selection, &mut pkt, op) {
+                    Some(d) if d.verdict == Verdict::Deny => (d, VerdictKind::Drop),
+                    Some(d) => (d, VerdictKind::Accept),
+                    None => (
+                        EvalDecision::allow(snap.generation()),
+                        VerdictKind::DefaultAllow,
+                    ),
+                }
             }
         };
+        // Finalize. A hit bumps the verdict counter its walk did, so
+        // `drops + accepts + default_allows == invocations` holds.
+        self.metrics.bump(match kind {
+            VerdictKind::Drop => Counter::Drops,
+            VerdictKind::Accept => Counter::Accepts,
+            VerdictKind::DefaultAllow => Counter::DefaultAllows,
+        });
         decision.adv_generation = adv_gen;
-        decision.degraded |= degraded;
+        decision.degraded |= inv.degraded;
         if decision.degraded {
             match decision.verdict {
                 Verdict::Deny => self.metrics.bump(Counter::DegradedDrops),
@@ -820,21 +783,14 @@ impl ProcessFirewall {
             }
         }
         if decision.verdict == Verdict::Deny {
-            for record in scratch.iter_mut() {
+            for record in inv.logs.iter_mut() {
                 record.verdict = Verdict::Deny;
             }
         }
-        if let Some((vc, key)) = cache_ctx {
-            if decision.degraded || cache_blocked {
-                self.metrics.bump_split(
-                    Counter::VcacheUncacheable,
-                    OpCounter::VcacheUncacheable,
-                    op,
-                );
+        if let Some((vc, key)) = miss {
+            if decision.degraded || inv.cache_blocked {
                 vc_outcome = VcacheOutcome::Uncacheable;
             } else {
-                self.metrics
-                    .bump_split(Counter::VcacheMisses, OpCounter::VcacheMisses, op);
                 vc_outcome = VcacheOutcome::Miss;
                 vc.insert(
                     key,
@@ -845,13 +801,35 @@ impl ProcessFirewall {
                 );
             }
         }
-        self.logs.append(scratch);
+        let vc_counters = match vc_outcome {
+            VcacheOutcome::None => None,
+            VcacheOutcome::Hit => Some((Counter::VcacheHits, OpCounter::VcacheHits)),
+            VcacheOutcome::Miss => Some((Counter::VcacheMisses, OpCounter::VcacheMisses)),
+            VcacheOutcome::Uncacheable => {
+                Some((Counter::VcacheUncacheable, OpCounter::VcacheUncacheable))
+            }
+        };
+        if let Some((total, split)) = vc_counters {
+            self.metrics.bump_split(total, split, op);
+        }
+        self.logs.append(inv.logs);
         self.metrics.observe_eval(t0);
-        let rk = event_rule_key(event_id, &decision, fired_rule);
+        // Emit.
+        let rk = event_rule_key(event_id, &decision, inv.fired_rule);
         let verdict = EventVerdict::from(kind);
         self.emit_decision_event(
-            gate, shard, event_id, ev_t0, &mut pkt, op, &decision, verdict, vc_outcome, throttle,
-            hops, rk,
+            gate,
+            shard,
+            event_id,
+            ev_t0,
+            &mut pkt,
+            op,
+            &decision,
+            verdict,
+            vc_outcome,
+            inv.throttle,
+            inv.hops,
+            rk,
         );
         decision
     }
@@ -965,6 +943,38 @@ struct Invocation<'a> {
     fired_rule: u64,
 }
 
+/// The rules one hook walks, chosen once before the verdict memo is
+/// consulted (see [`Invocation::select`]).
+enum Selection<'a> {
+    /// A whole chain in install order: `syscallbegin`, the input chain
+    /// below EPTSPC, and the degraded walk after a failed unwind.
+    Chain(ChainName, &'a [Arc<Rule>]),
+    /// The buckets a dispatch table selected from the input chain;
+    /// `rulesetc` marks the three-axis table, whose walks the
+    /// `rulesetc_dispatch` counter counts.
+    Dispatch {
+        merge: MergeDispatch<'a>,
+        rulesetc: bool,
+    },
+}
+
+impl<'a> Selection<'a> {
+    /// All of `chain`, in install order.
+    fn whole(snap: &'a RulesetSnapshot, chain: ChainName) -> Self {
+        let rules = snap.chain(&chain);
+        Selection::Chain(chain, rules)
+    }
+
+    /// Whether the selection holds no rule: the hook's outcome is the
+    /// default allow, so there is nothing for the memo to stand in for.
+    fn is_empty(&self) -> bool {
+        match self {
+            Selection::Chain(_, rules) => rules.is_empty(),
+            Selection::Dispatch { merge, .. } => merge.is_empty(),
+        }
+    }
+}
+
 /// The tri-state outcome of matching one rule against a packet.
 enum RuleEval {
     /// Every selector matched; run the target.
@@ -990,9 +1000,11 @@ macro_rules! fetched {
 }
 
 impl<'a> Invocation<'a> {
-    /// The chain walk: `Some(decision)` on an explicit verdict, `None`
-    /// when every rule fell through to the default-ALLOW policy.
-    fn run(&mut self, pkt: &mut Packet<'_>, op: LsmOperation) -> Option<EvalDecision> {
+    /// Select: the rules this hook can reach, chosen once per hook and
+    /// before the memo. `syscallbegin` and every level below EPTSPC
+    /// take their whole chain; the input chain goes through the
+    /// compiled dispatch of its level.
+    fn select(&mut self, pkt: &mut Packet<'_>, op: LsmOperation) -> Selection<'a> {
         let snap = self.snap;
         // The naive design "simply fetches all process and resource
         // contexts and then matches them against each invariant"
@@ -1001,42 +1013,39 @@ impl<'a> Invocation<'a> {
         if !self.config.lazy_context && !snap.is_empty() {
             pkt.fetch_all(self.metrics);
         }
-        let start = if op == LsmOperation::SyscallBegin {
-            ChainName::SyscallBegin
+        if op == LsmOperation::SyscallBegin {
+            Selection::whole(snap, ChainName::SyscallBegin)
+        } else if self.config.compiled_dispatch && !snap.is_empty() {
+            self.select_input(snap.input_dispatch(), true, pkt, op)
+        } else if self.config.entrypoint_chains {
+            self.select_input(snap.input_ept_dispatch(), false, pkt, op)
         } else {
-            ChainName::Input
-        };
-        if start == ChainName::Input && self.config.compiled_dispatch && !snap.is_empty() {
-            self.run_input_dispatch(snap.input_dispatch(), true, pkt, op)
-        } else if self.config.entrypoint_chains && start == ChainName::Input {
-            self.run_input_dispatch(snap.input_ept_dispatch(), false, pkt, op)
-        } else {
-            self.run_chain(&start, pkt, op, 0)
+            Selection::whole(snap, ChainName::Input)
         }
     }
 
-    /// The one indexed walk of the input chain, over either compiled
-    /// table: the three-axis one at RULESETC (`rulesetc` set, which
-    /// also gates the `rulesetc_*` counters) or the entrypoint-only one
-    /// at EPTSPC. Only the buckets whose indexed selectors could accept
-    /// this invocation are consulted, merged back into install order
-    /// (see `compile.rs` for the soundness argument).
+    /// The one indexed selection from the input chain, over either
+    /// compiled table: the three-axis one at RULESETC (`rulesetc` set,
+    /// which also gates the `rulesetc_*` counters) or the
+    /// entrypoint-only one at EPTSPC and VCACHE. Only the buckets whose
+    /// indexed selectors could accept this invocation are selected, to
+    /// be merged back into install order (see `compile.rs` for the
+    /// soundness argument).
     ///
     /// Fetch failures never consult a concrete bucket. A failed
     /// entrypoint unwind degrades to the full-chain walk, so every
     /// bound rule's `--ctx-missing` policy gets its say. A failed
     /// object fetch (only the three-axis table has label buckets)
-    /// re-runs on the entrypoint-only table: the label axis is dropped
-    /// and the rules that need the label arbitrate through
+    /// re-selects on the entrypoint-only table: the label axis is
+    /// dropped and the rules that need the label arbitrate through
     /// `--ctx-missing` as usual.
-    fn run_input_dispatch(
+    fn select_input(
         &mut self,
         dispatch: &'a CompiledDispatch,
         rulesetc: bool,
         pkt: &mut Packet<'_>,
         op: LsmOperation,
-    ) -> Option<EvalDecision> {
-        let input = self.snap.chain(&ChainName::Input);
+    ) -> Selection<'a> {
         // Each constrained axis is resolved *before* traversal:
         // interleaved ACCEPT/RETURN/LOG/STATE rules make relative order
         // verdict-relevant, so the applicable buckets must be known up
@@ -1055,7 +1064,7 @@ impl<'a> Invocation<'a> {
                     if rulesetc {
                         self.metrics.bump(Counter::RulesetcFallback);
                     }
-                    return self.run_seq(&ChainName::Input, input.iter().enumerate(), pkt, op, 0);
+                    return Selection::whole(self.snap, ChainName::Input);
                 }
             }
         } else {
@@ -1073,17 +1082,39 @@ impl<'a> Invocation<'a> {
                     // unwind. Not `degraded` by itself.
                     self.metrics.bump(Counter::RulesetcFallback);
                     let eptspc = self.snap.input_ept_dispatch();
-                    return self.run_input_dispatch(eptspc, false, pkt, op);
+                    return self.select_input(eptspc, false, pkt, op);
                 }
             }
         } else {
             None
         };
-        if rulesetc {
-            self.metrics.bump(Counter::RulesetcDispatch);
+        Selection::Dispatch {
+            merge: dispatch.select(op, label, ept),
+            rulesetc,
         }
-        let merged = dispatch.select(op, label, ept).map(|i| (i, &input[i]));
-        self.run_seq(&ChainName::Input, merged, pkt, op, 0)
+    }
+
+    /// Walk: the rules `selection` holds, in install order.
+    /// `Some(decision)` on an explicit verdict, `None` when every rule
+    /// fell through to the default-ALLOW policy.
+    fn walk(
+        &mut self,
+        selection: &mut Selection<'a>,
+        pkt: &mut Packet<'_>,
+        op: LsmOperation,
+    ) -> Option<EvalDecision> {
+        match selection {
+            Selection::Chain(chain, rules) => {
+                self.run_seq(chain, rules.iter().enumerate(), pkt, op, 0)
+            }
+            Selection::Dispatch { merge, rulesetc } => {
+                if *rulesetc {
+                    self.metrics.bump(Counter::RulesetcDispatch);
+                }
+                let input = self.snap.chain(&ChainName::Input);
+                self.run_seq(&ChainName::Input, merge.map(|i| (i, &input[i])), pkt, op, 0)
+            }
+        }
     }
 
     /// The decision for a deny attributed to `rule`, `chain[index]`.
@@ -1105,17 +1136,6 @@ impl<'a> Invocation<'a> {
             degraded,
             adv_generation: 0,
         }
-    }
-
-    fn run_chain(
-        &mut self,
-        chain: &ChainName,
-        pkt: &mut Packet<'_>,
-        op: LsmOperation,
-        depth: u32,
-    ) -> Option<EvalDecision> {
-        let rules = self.snap.chain(chain);
-        self.run_seq(chain, rules.iter().enumerate(), pkt, op, depth)
     }
 
     fn run_seq(
@@ -1162,7 +1182,6 @@ impl<'a> Invocation<'a> {
                     // Fail closed: a selector's context fetch failed and
                     // the governing policy is `drop`. The deny is
                     // attributed to this rule and flagged degraded.
-                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
                     return Some(self.deny(chain, index, rule, true));
                 }
@@ -1176,12 +1195,10 @@ impl<'a> Invocation<'a> {
             }
             match &rule.target {
                 Target::Drop => {
-                    self.metrics.bump(Counter::Drops);
                     self.emit_log(pkt, op, LogTag::Static("DROP"), Verdict::Deny);
                     return Some(self.deny(chain, index, rule, self.degraded));
                 }
                 Target::Accept => {
-                    self.metrics.bump(Counter::Accepts);
                     if self.event_id != 0 {
                         // `as_str` avoids the `name()` allocation; only
                         // sampled invocations pay even the hash.
@@ -1193,7 +1210,8 @@ impl<'a> Invocation<'a> {
                 Target::Return => return None,
                 Target::Jump(sub) => {
                     if depth < MAX_DEPTH {
-                        if let Some(d) = self.run_chain(sub, pkt, op, depth + 1) {
+                        let rules = self.snap.chain(sub).iter().enumerate();
+                        if let Some(d) = self.run_seq(sub, rules, pkt, op, depth + 1) {
                             return Some(d);
                         }
                     } else {
@@ -1263,7 +1281,6 @@ impl<'a> Invocation<'a> {
                 // not turn a rate limit into an unconditional allow.
                 return match self.on_ctx_failure(rule, chain) {
                     CtxPolicy::Drop => {
-                        self.metrics.bump(Counter::Drops);
                         self.emit_log(pkt, op, LogTag::Static("CTXFAIL"), Verdict::Deny);
                         Some(self.deny(chain, index, rule, true))
                     }
@@ -1336,7 +1353,6 @@ impl<'a> Invocation<'a> {
         };
         match exceed {
             ExceedPolicy::Drop => {
-                self.metrics.bump(Counter::Drops);
                 self.emit_log(pkt, op, tag, Verdict::Deny);
                 Some(self.deny(chain, index, rule, self.degraded))
             }
@@ -1557,44 +1573,34 @@ impl<'a> Invocation<'a> {
         })
     }
 
+    /// Captures the LOG record for the invocation `pkt` carries into the
+    /// invocation-local buffer. A verdict-memo hit's DROP line comes
+    /// through here too, so a cached denial's record names its own
+    /// access (entrypoint, object, resource).
+    ///
+    /// Everything that could change before a collector drains is taken
+    /// now — the adversary bits in particular depend on the adversary
+    /// generation — and names are the interners' shared copies, so the
+    /// capture allocates nothing; the sink renders the strings at drain.
     fn emit_log(&mut self, pkt: &mut Packet<'_>, op: LsmOperation, tag: LogTag, verdict: Verdict) {
-        let record = log_record(pkt, op, tag, verdict, self.metrics);
-        self.logs.push(record);
-    }
-}
-
-/// Captures the LOG record for the invocation `pkt` carries. Shared by
-/// the walk's LOG/DROP targets and the VCACHE hit path, so a cached
-/// denial's record names its own access (entrypoint, object, resource).
-///
-/// Everything that could change before a collector drains is taken
-/// now — the adversary bits in particular depend on the adversary
-/// generation — and names are the interners' shared copies, so the
-/// capture allocates nothing; the sink renders the strings at drain.
-fn log_record(
-    pkt: &mut Packet<'_>,
-    op: LsmOperation,
-    tag: LogTag,
-    verdict: Verdict,
-    metrics: &Metrics,
-) -> LogRecord {
-    let ept = pkt.entrypoint_value(metrics).ok();
-    let adv_write = pkt.adv_write_value(metrics).ok().unwrap_or(false);
-    let adv_read = pkt.adv_read_value(metrics).ok().unwrap_or(false);
-    let env = pkt.env_ref();
-    let mac = env.mac();
-    LogRecord {
-        ts: env.now(),
-        pid: env.pid().0,
-        subject: mac.label_shared(env.subject_sid()),
-        program: env.program_name(env.program()),
-        ept: ept.map(|(p, pc)| (env.program_name(p), pc)),
-        op,
-        object: env.object().map(|o| (mac.label_shared(o.sid), o.resource)),
-        adv_write,
-        adv_read,
-        tag,
-        verdict,
+        let ept = pkt.entrypoint_value(self.metrics).ok();
+        let adv_write = pkt.adv_write_value(self.metrics).ok().unwrap_or(false);
+        let adv_read = pkt.adv_read_value(self.metrics).ok().unwrap_or(false);
+        let env = pkt.env_ref();
+        let mac = env.mac();
+        self.logs.push(LogRecord {
+            ts: env.now(),
+            pid: env.pid().0,
+            subject: mac.label_shared(env.subject_sid()),
+            program: env.program_name(env.program()),
+            ept: ept.map(|(p, pc)| (env.program_name(p), pc)),
+            op,
+            object: env.object().map(|o| (mac.label_shared(o.sid), o.resource)),
+            adv_write,
+            adv_read,
+            tag,
+            verdict,
+        });
     }
 }
 
@@ -3319,6 +3325,80 @@ mod tests {
             "a failed key fetch bypasses the cache"
         );
         assert_eq!(session.vcache_len(), 0, "degraded walks are not inserted");
+    }
+
+    /// `(hits, misses, uncacheable)` of the verdict cache.
+    fn vcache_counts(pf: &ProcessFirewall) -> (u64, u64, u64) {
+        let m = pf.metrics();
+        (m.vcache_hits(), m.vcache_misses(), m.vcache_uncacheable())
+    }
+
+    #[test]
+    fn empty_selection_builds_no_key() {
+        for level in [OptLevel::Vcache, OptLevel::RulesetC] {
+            let pf = ProcessFirewall::new(level);
+            pf.metrics().set_detailed(true);
+            let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+            install(
+                &pf,
+                &mut env,
+                "pftables -p /usr/bin/apache2 -i 0x100 -o FILE_OPEN -j DROP",
+            );
+            assert!(pf.base().statically_cacheable(), "{level:?}");
+            let mut session = TaskSession::new();
+            // No rule is bound to 0x200: the selection is empty, so the
+            // hook is the default allow and builds no verdict key.
+            env.stack = Some((env.program, 0x200));
+            for _ in 0..2 {
+                let d = session.evaluate(&pf, &mut env, LsmOperation::FileOpen);
+                assert_eq!(d.verdict, Verdict::Allow, "{level:?}");
+            }
+            assert_eq!(session.vcache_len(), 0, "{level:?}");
+            assert_eq!(vcache_counts(&pf), (0, 0, 0), "{level:?}");
+            for field in [CtxField::ObjectSid, CtxField::SubjectOrigin] {
+                assert_eq!(
+                    pf.metrics().by_field(FieldCounter::Fetches, field),
+                    0,
+                    "{level:?}: {field:?} is a key-only fetch"
+                );
+            }
+            assert_eq!(pf.metrics().default_allows(), 2, "{level:?}");
+            // An empty compiled selection is still a walk of it.
+            let dispatched = if level == OptLevel::RulesetC { 2 } else { 0 };
+            assert_eq!(pf.metrics().rulesetc_dispatch(), dispatched, "{level:?}");
+            // From the bound entrypoint (a new syscall, so a fresh
+            // CONCACHE slot) the selection holds the DROP: the first
+            // hook misses and the second hits.
+            env.stack = Some((env.program, 0x100));
+            env.cache.clear();
+            let d = session.evaluate(&pf, &mut env, LsmOperation::FileOpen);
+            assert_eq!(d.verdict, Verdict::Deny, "{level:?}");
+            assert_eq!(vcache_counts(&pf), (0, 1, 0), "{level:?}");
+            let d = session.evaluate(&pf, &mut env, LsmOperation::FileOpen);
+            assert_eq!(d.verdict, Verdict::Deny, "{level:?}");
+            assert_eq!(vcache_counts(&pf), (1, 1, 0), "{level:?}");
+            assert_eq!(session.vcache_len(), 1, "{level:?}");
+        }
+    }
+
+    #[test]
+    fn empty_syscallbegin_chain_never_unwinds() {
+        let pf = ProcessFirewall::new(OptLevel::Vcache);
+        pf.metrics().set_detailed(true);
+        let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
+        install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
+        assert!(pf.base().statically_cacheable());
+        let mut session = TaskSession::new();
+        let d = session.evaluate(&pf, &mut env, LsmOperation::SyscallBegin);
+        assert_eq!(d.verdict, Verdict::Allow);
+        assert_eq!(env.unwind_count, 0, "an empty chain needs no entrypoint");
+        assert_eq!(
+            pf.metrics()
+                .by_field(FieldCounter::Fetches, CtxField::Entrypoint),
+            0
+        );
+        assert_eq!(vcache_counts(&pf), (0, 0, 0));
+        assert_eq!(session.vcache_len(), 0);
     }
 
     // --- origin (taint) selectors and adversary-model generations ---

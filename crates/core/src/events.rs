@@ -196,8 +196,8 @@ impl EventVerdict {
 /// How the verdict cache participated in a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VcacheOutcome {
-    /// The cache was not consulted (not at the VCACHE level, or the
-    /// ruleset/operation was not cache-eligible).
+    /// The cache was not consulted: not at a verdict-cache level, or
+    /// the hook selected no rule, so there was no walk to stand in for.
     None,
     /// The verdict was served from the cache without a walk.
     Hit,

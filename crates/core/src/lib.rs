@@ -38,8 +38,9 @@
 //!   traversal outcomes memoized by key context, guarded by the static
 //!   cacheability analysis in [`chain`]/[`rule`];
 //! * [`compile`] is the RULESETC dispatch compiler: per-(op, label,
-//!   entrypoint) bucket tables built at snapshot compile time, walked
-//!   as an order-preserving k-way merge on the verdict-cache miss path;
+//!   entrypoint) bucket tables built at snapshot compile time, from
+//!   which each hook selects before the verdict cache is consulted,
+//!   walked as an order-preserving k-way merge;
 //! * [`log`] is the LOG target's JSON record, consumed by `pf-rulegen`;
 //! * [`metrics`] is the observability registry: the counter table
 //!   (always-on totals, per-operation and per-field rows), per-rule

@@ -10,9 +10,14 @@
 //! inputs the policy reads: the key holds the subject, program,
 //! entrypoint, object label and origin on every snapshot, and the
 //! resource identifier only when a reachable rule reads it, so objects
-//! of one label class share an entry and a hit costs two context
-//! fetches (label and origin) plus the entrypoint, which CONCACHE
-//! usually serves from the task's per-syscall cache.
+//! of one label class share an entry.
+//!
+//! The cache stands in for a walk, so the engine consults it only after
+//! dispatch selection has found one: a hook whose selection holds no
+//! rule is the default allow and builds no key. A hook that selected a
+//! rule builds the key through the same memoizing packet, reusing the
+//! entrypoint (and at RULESETC the label) that selection fetched, so a
+//! hit costs the remaining key fetches (label and origin) and one probe.
 //!
 //! Soundness rests on three gates, enforced in `engine.rs`:
 //!
@@ -28,8 +33,8 @@
 //!   `-m COMPARE`);
 //! * **no degraded entries** — walks that saw a failed context fetch
 //!   (or an exhausted jump depth) are never inserted, and a key that
-//!   cannot even be built (a key-field fetch *failed*) bypasses the
-//!   cache entirely;
+//!   cannot even be built (a key-field fetch *failed*, in selection or
+//!   in the key build) bypasses the cache entirely;
 //! * **generation isolation** — the cache lives inside a
 //!   [`crate::session::TaskSession`] and is cleared whenever the
 //!   session re-pins (hot reload, firewall swap), so no verdict

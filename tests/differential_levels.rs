@@ -120,7 +120,10 @@ struct Observed {
     logs: Vec<LogEntry>,
     /// The victim's final STATE dictionary, sorted for comparison.
     state: Vec<(u64, u64)>,
+    invocations: u64,
     vcache_hits: u64,
+    vcache_misses: u64,
+    vcache_uncacheable: u64,
     keys_resource: bool,
 }
 
@@ -152,11 +155,15 @@ fn run_trace(level: OptLevel, rules: &[(usize, usize, bool, u64)], trace: &[Acce
         .map(|(&k, &v)| (k, v))
         .collect();
     state.sort_unstable();
+    let m = k.firewall.metrics();
     Observed {
         outcomes,
         logs: k.firewall.drain_logs().entries,
         state,
-        vcache_hits: k.firewall.metrics().vcache_hits(),
+        invocations: m.invocations(),
+        vcache_hits: m.vcache_hits(),
+        vcache_misses: m.vcache_misses(),
+        vcache_uncacheable: m.vcache_uncacheable(),
         keys_resource: k.firewall.base().keys_resource(),
     }
 }
@@ -254,6 +261,27 @@ fn pure_bases_serve_hits_keyed_per_class_and_per_object() {
         // The ACCEPT for /etc/hosts only holds if its entry is separate.
         assert_eq!(vc.outcomes[..2], [false, keyed]);
     }
+}
+
+#[test]
+fn empty_selections_misses_and_hits_agree_across_levels() {
+    // Pure rules bound to pc 1 only: every hook from pc 0 selects no
+    // rule and builds no verdict key, while pc 1's FILE_OPEN hooks miss
+    // once and then hit. DROP etc_t; DROP what adversaries can write.
+    let rules = [(0, 1, true, 1), (9, 0, true, 1)];
+    let trace: Vec<Access> = (0..2)
+        .flat_map(|lbl| (0..2).map(move |pc| (lbl, 0, pc)))
+        .collect();
+    let doubled: Vec<Access> = trace.iter().chain(&trace).copied().collect();
+    let (vc, rc) = assert_levels_agree(&rules, &doubled);
+    for run in [&vc, &rc] {
+        assert!(run.vcache_hits > 0, "the warm round must hit");
+        assert!(
+            run.invocations > run.vcache_hits + run.vcache_misses + run.vcache_uncacheable,
+            "some hooks must select no rule"
+        );
+    }
+    assert_eq!(vc.outcomes, [true, false, true, false].repeat(2));
 }
 
 // ---------------------------------------------------------------------
@@ -430,19 +458,20 @@ fn vcache_serves_hits_for_repeated_denials() {
         let e = k.open(pid, "/etc/passwd", OpenFlags::rdonly()).unwrap_err();
         assert!(e.is_firewall_denial());
     }
-    // Each open fires several hooks (one per resolved component plus
-    // the FILE_OPEN itself); the first open populates one entry per
-    // hook and every later hook is a pure cache hit.
+    // Each open fires four hooks: `syscallbegin`, two DIR_SEARCH and
+    // the FILE_OPEN. The `syscallbegin` chain is empty, so that hook
+    // selects no rule and never consults the cache. The first open
+    // populates one entry per other hook, and every later one is a
+    // pure cache hit.
     let m = k.firewall.metrics();
-    let per_open = m.invocations() / 5;
-    assert!(per_open >= 2, "open should fire several hooks");
-    assert_eq!(
-        m.vcache_misses(),
-        per_open,
-        "first open populates the cache"
-    );
-    assert_eq!(m.vcache_hits(), 4 * per_open, "repeats are served from it");
+    assert_eq!(m.vcache_misses(), 3, "first open populates the cache");
+    assert_eq!(m.vcache_hits(), 12, "repeats are served from it");
     assert_eq!(m.vcache_uncacheable(), 0);
+    assert_eq!(
+        m.invocations() - m.vcache_hits() - m.vcache_misses() - m.vcache_uncacheable(),
+        5,
+        "empty selections build no key"
+    );
     assert_eq!(m.drops(), 5, "hits still count as drops");
     // Every cached denial is still audited.
     assert_eq!(k.firewall.drain_logs().entries.len(), 5);
