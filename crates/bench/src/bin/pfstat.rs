@@ -4,10 +4,11 @@
 //! detailed metrics enabled and decision-event sampling at `always`,
 //! then prints the counter/histogram report: the counter table's
 //! `name value` summary (every total, then every nonzero per-operation
-//! and per-field value), per-rule evaluated/hit counters, the
-//! evaluation / context-fetch latency histograms, the decision-event
-//! plane tallies, the log sink accounting, and live RATELIMIT/QUOTA
-//! bucket occupancy.
+//! and per-field value), the hottest rules' own evaluated/hits/throttled
+//! counters, the evaluation / context-fetch latency histograms, the
+//! decision-event plane tallies, the log sink accounting, and live
+//! RATELIMIT/QUOTA bucket occupancy. The per-rule rows and the
+//! occupancy come from one walk of the live rule base.
 //!
 //! ```text
 //! usage: pfstat [apache|boot|web] [--json|--prometheus]
@@ -81,26 +82,25 @@ fn report(k: &pf_os::Kernel, workload: &str) {
     print!("{}", m.render_summary());
     println!();
 
-    // Per-rule counters, hottest first. The full base has ~1218 rules,
-    // almost all never evaluated under EPTSPC — show the active ones.
+    // One walk of the live base: each rule's own counters, and the
+    // throttle rules whose buckets the last section reads. The full base
+    // has ~1218 rules, almost all never evaluated under EPTSPC — show
+    // the active ones, hottest first.
     const TOP: usize = 20;
-    let mut rows: Vec<(u64, u64, u64, String, usize, String)> = Vec::new();
     let base = k.firewall.base();
-    for chain in m.chains_seen() {
-        let Some(snap) = m.chain_snapshot(&chain) else {
-            continue;
-        };
-        let rules = base.chain(&chain);
+    let (mut rows, mut throttles) = (Vec::new(), Vec::new());
+    for (chain, rules) in base.iter() {
         for (i, rule) in rules.iter().enumerate() {
-            let evals = snap.evaluated.get(i).copied().unwrap_or(0);
-            let hits = snap.hits.get(i).copied().unwrap_or(0);
-            let throttled = snap.throttled.get(i).copied().unwrap_or(0);
-            if evals > 0 || hits > 0 || throttled > 0 {
-                rows.push((evals, hits, throttled, chain.name(), i, rule.text.clone()));
+            let counts = (rule.evaluated(), rule.hits(), rule.throttled());
+            if counts != (0, 0, 0) {
+                rows.push((counts, chain.as_str(), i, &rule.text));
+            }
+            if let Some(cell) = rule.throttle_cell() {
+                throttles.push((chain.as_str(), i, rule, cell));
             }
         }
     }
-    rows.sort_by(|a, b| b.0.cmp(&a.0).then(b.1.cmp(&a.1)));
+    rows.sort_by_key(|row| std::cmp::Reverse(row.0));
     println!(
         "== per-rule counters ({} of {} rules evaluated; top {}) ==",
         rows.len(),
@@ -111,7 +111,7 @@ fn report(k: &pf_os::Kernel, workload: &str) {
         "{:>10} {:>8} {:>9}  {:<14} {:>4}  text",
         "evals", "hits", "throttled", "chain", "rule"
     );
-    for (evals, hits, throttled, chain, index, text) in rows.iter().take(TOP) {
+    for ((evals, hits, throttled), chain, index, text) in rows.iter().take(TOP) {
         println!("{evals:>10} {hits:>8} {throttled:>9}  {chain:<14} {index:>4}  {text}");
     }
     println!();
@@ -185,35 +185,29 @@ fn report(k: &pf_os::Kernel, workload: &str) {
 
     // Live per-key throttle bucket occupancy, straight off the packed
     // atomic words — no locks taken, buckets keep moving underneath.
-    let occupancy = k.firewall.throttle_occupancy();
     println!("== throttle occupancy ==");
-    if occupancy.is_empty() {
+    if throttles.is_empty() {
         println!("(no RATELIMIT/QUOTA rules installed)");
-    } else {
-        for occ in &occupancy {
-            println!("{}[{}] {} — {}", occ.chain, occ.index, occ.kind, occ.text);
-            if occ.slots.is_empty() {
-                println!("  (no active buckets)");
-            }
-            for slot in &occ.slots {
-                let value = if occ.kind == "RATELIMIT" {
-                    slot.tokens()
-                } else {
-                    slot.count()
-                };
-                println!(
-                    "  key {:#018x}  tick {:>8}  {} {:>8}{}",
-                    slot.key,
-                    slot.tick,
-                    if occ.kind == "RATELIMIT" {
-                        "tokens"
-                    } else {
-                        "count "
-                    },
-                    value,
-                    if slot.spill { "  [spill]" } else { "" }
-                );
-            }
+    }
+    for (chain, index, rule, cell) in throttles {
+        let kind = rule.target.kind_name();
+        println!("{chain}[{index}] {kind} — {}", rule.text);
+        let slots = cell.occupancy();
+        if slots.is_empty() {
+            println!("  (no active buckets)");
+        }
+        for slot in &slots {
+            let (unit, value) = if kind == "RATELIMIT" {
+                ("tokens", slot.tokens())
+            } else {
+                ("count ", slot.count())
+            };
+            println!(
+                "  key {:#018x}  tick {:>8}  {unit} {value:>8}{}",
+                slot.key,
+                slot.tick,
+                if slot.spill { "  [spill]" } else { "" }
+            );
         }
     }
 }

@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use pf_core::events::{self, DecisionEvent, EventKind};
+use pf_core::events::{DecisionEvent, EventKind};
 use pf_core::{
     EvalEnv, Histogram, ObjectInfo, OptLevel, ProcessFirewall, SamplingMode, SignalInfo,
     TaskSession,
@@ -193,18 +193,15 @@ impl Aggregation {
     }
 }
 
-/// Resolves every installed rule position to its display text, keyed by
-/// the same FNV hash the engine stamps into `DecisionEvent::rule_key`.
+/// Resolves every rule of the live base to its position and text, keyed
+/// by the `Rule::key` the engine stamps into `DecisionEvent::rule_key`.
 fn rule_table(fw: &ProcessFirewall) -> HashMap<u64, String> {
     let snap = fw.base();
     let mut table = HashMap::new();
     for (chain, rules) in snap.iter() {
-        let name = chain.name();
+        let name = chain.as_str();
         for (index, rule) in rules.iter().enumerate() {
-            table.insert(
-                events::rule_key(&name, index),
-                format!("{name}[{index}] {}", rule.text),
-            );
+            table.insert(rule.key(), format!("{name}[{index}] {}", rule.text));
         }
     }
     table

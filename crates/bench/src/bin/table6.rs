@@ -75,5 +75,5 @@ fn main() {
             runner(&mut k);
         }
     }
-    dump_metrics_json(&k.firewall.metrics().to_json(), "table6");
+    dump_metrics_json(&k.firewall.to_json(), "table6");
 }

@@ -103,25 +103,25 @@ fn main() {
         setup_build_tree(&mut k);
         k.firewall.metrics().set_detailed(true);
         let _ = apache_build(&mut k);
-        sections.push(("apache_build".into(), k.firewall.metrics().to_json()));
+        sections.push(("apache_build".into(), k.firewall.to_json()));
     }
     {
         let (mut k, _) = world_at(OptLevel::EptSpc, RuleSet::Full);
         k.firewall.metrics().set_detailed(true);
         let _ = boot(&mut k);
-        sections.push(("boot".into(), k.firewall.metrics().to_json()));
+        sections.push(("boot".into(), k.firewall.to_json()));
     }
     {
         let (mut k, _) = world_at(OptLevel::EptSpc, RuleSet::Full);
         k.firewall.metrics().set_detailed(true);
         let _ = web_serve(&mut k, 1, 200);
-        sections.push(("web1".into(), k.firewall.metrics().to_json()));
+        sections.push(("web1".into(), k.firewall.to_json()));
     }
     {
         let (mut k, _) = world_at(OptLevel::EptSpc, RuleSet::Full);
         k.firewall.metrics().set_detailed(true);
         let _ = web_serve(&mut k, 1000, 1);
-        sections.push(("web1000".into(), k.firewall.metrics().to_json()));
+        sections.push(("web1000".into(), k.firewall.to_json()));
     }
     dump_metrics_json(&combine_metrics_json(&sections), "table7");
 

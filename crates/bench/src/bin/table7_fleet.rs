@@ -6,17 +6,16 @@
 //! firewall, a work-stealing executor, mixed web/fork/probe/flood
 //! traffic, racing hot reloads — in three configurations:
 //!
-//! 1. **pre-fix emulation** at full worker count: chain-detail
-//!    recorders pinned to one shard (the old single `Mutex<BTreeMap>`
-//!    convoy) and an effectively unbounded, never-drained log sink
-//!    (the old `Mutex<Vec<LogEntry>>` leak);
+//! 1. **pre-fix emulation** at full worker count: an effectively
+//!    unbounded, never-drained log sink (the old `Mutex<Vec<LogEntry>>`
+//!    leak);
 //! 2. **post-fix** at 1 worker (the scaling baseline);
 //! 3. **post-fix** at full worker count.
 //!
 //! Reported: aggregate hooks/CPU-second (and wall), p50/p99.9
 //! hook-evaluation latency, p99.9 decision latency from the event
-//! plane under reload churn, per-shard metrics-merge cost, work-steal
-//! and shard-contention counts, and exact log/event drop accounting.
+//! plane under reload churn, work-steal and shard-contention counts,
+//! and exact log/event drop accounting.
 //! The pre-fix vs post-fix ratio and the 1→N worker scaling ratio go
 //! into the results JSON; `--min-scaling <x>` turns the scaling ratio
 //! into a hard gate for CI.
@@ -175,8 +174,8 @@ fn main() {
         (second, rate)
     };
 
-    // 1. The bugs, reproduced: pinned chain-detail lock + unbounded
-    //    undrained log sink at full worker count.
+    // 1. The bug, reproduced: an unbounded undrained log sink at full
+    //    worker count.
     let (pre, pre_rate) = paired(&FleetConfig::pre_fix(
         a.shards, a.tasks, a.workers, a.rounds,
     ));
@@ -211,8 +210,8 @@ fn main() {
     };
     match improvement {
         Some(x) => println!(
-            "hooks/CPU-second at {} workers: fixed = {:.2}x the pre-fix sinks \
-             (sharded chain detail + bounded drained log ring)",
+            "hooks/CPU-second at {} workers: fixed = {:.2}x the pre-fix sink \
+             (bounded drained log ring)",
             a.workers, x
         ),
         None => println!("pre-fix comparison: n/a (no CPU-time readings)"),
@@ -234,15 +233,8 @@ fn main() {
         None => println!("scaling ratio: n/a (no CPU-time readings)"),
     }
     println!(
-        "steals={} shard_busy={} merge_cost={}us chains={} denials={} \
-         event_p999={}ns (from {} drained events)",
-        full.steals,
-        full.shard_busy,
-        full.merge_ns / 1000,
-        full.chains_seen,
-        full.denials,
-        full.event_p999_ns,
-        full.events_drained,
+        "steals={} shard_busy={} denials={} event_p999={}ns (from {} drained events)",
+        full.steals, full.shard_busy, full.denials, full.event_p999_ns, full.events_drained,
     );
 
     if let (Some(min), Some(s)) = (a.min_scaling, scaling) {
@@ -276,7 +268,7 @@ fn main() {
          \"shards\":{},\"tasks\":{},\"workers\":{},\
          \"fleet_hooks_per_cpu_s\":{},\"prefix_hooks_per_cpu_s\":{},\
          \"hooks_per_cpu_improvement\":{},\"cpu_scaling_ratio\":{},\
-         \"eval_p999_ns\":{},\"event_p999_ns\":{},\"merge_ns\":{},\
+         \"eval_p999_ns\":{},\"event_p999_ns\":{},\
          \"logs_emitted\":{},\"logs_dropped\":{},\"reloads\":{}}}",
         full.shards,
         full.tasks,
@@ -287,7 +279,6 @@ fn main() {
         scaling.map_or("null".to_owned(), |x| format!("{x:.3}")),
         full.eval_p999_ns,
         full.event_p999_ns,
-        full.merge_ns,
         full.logs_emitted,
         full.logs_dropped,
         full.reloads,

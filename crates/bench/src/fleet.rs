@@ -23,19 +23,14 @@
 //!
 //! A `-j LOG` rule on every `FILE_OPEN` keeps the shared log sink under
 //! constant fan-in pressure — which is exactly how the harness exposed
-//! the two bugs this module exists to regress:
+//! the bug this module exists to regress: the log sink used to be an
+//! **unbounded** `Mutex<Vec<LogEntry>>`, so a fleet run leaked memory
+//! until OOM. It is now a bounded overwrite-oldest ring with exact
+//! `emitted == drained + dropped` accounting ([`pf_core::LogSink`]).
 //!
-//! 1. the log sink used to be an **unbounded** `Mutex<Vec<LogEntry>>`,
-//!    so a fleet run leaked memory until OOM — it is now a bounded
-//!    overwrite-oldest ring with exact `emitted == drained + dropped`
-//!    accounting ([`pf_core::LogSink`]);
-//! 2. the metrics detail layer funneled every worker through one
-//!    `Mutex<BTreeMap>` — it is now sharded like the latency
-//!    histograms and merged on export.
-//!
-//! [`FleetConfig::pre_fix`] reproduces the old behavior (all chain
-//! recorders pinned to one shard; an effectively unbounded, never
-//! drained sink) so the bench can quantify the fix on every run.
+//! [`FleetConfig::pre_fix`] reproduces the old sink (effectively
+//! unbounded, never drained) so the bench can quantify the fix on
+//! every run.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -107,8 +102,7 @@ pub struct FleetConfig {
     pub drain_logs: bool,
     /// Drain the decision-event plane from the drainer thread.
     pub drain_events: bool,
-    /// Emulate the pre-fix sinks: chain-detail recorders pinned to one
-    /// shard and a huge, never-drained log sink.
+    /// Emulate the pre-fix sink: a huge, never-drained log sink.
     pub pre_fix: bool,
 }
 
@@ -128,11 +122,11 @@ impl FleetConfig {
         }
     }
 
-    /// The pre-fix emulation at the same scale: one chain-detail lock
-    /// and an effectively unbounded, never-drained log sink. The event
-    /// plane predates the fix and is drained either way, so both
-    /// configurations pay the same drainer-thread cost except for the
-    /// log path under comparison.
+    /// The pre-fix emulation at the same scale: an effectively
+    /// unbounded, never-drained log sink. The event plane predates the
+    /// fix and is drained either way, so both configurations pay the
+    /// same drainer-thread cost except for the log path under
+    /// comparison.
     pub fn pre_fix(shards: usize, tasks: usize, workers: usize, rounds: usize) -> Self {
         FleetConfig {
             log_capacity: usize::MAX / 2,
@@ -186,7 +180,7 @@ pub struct FleetResult {
     pub workers: usize,
     /// Echo of the configuration.
     pub rounds: usize,
-    /// Whether this run emulated the pre-fix sinks.
+    /// Whether this run emulated the pre-fix sink.
     pub pre_fix: bool,
     /// Resident tasks actually spawned (≥ `tasks`).
     pub resident_tasks: usize,
@@ -240,10 +234,6 @@ pub struct FleetResult {
     pub events_drained: u64,
     /// See `events_emitted`.
     pub events_dropped: u64,
-    /// Time to merge the sharded chain-detail maps on export (ns).
-    pub merge_ns: u64,
-    /// Chains with recorded per-rule detail at export time.
-    pub chains_seen: usize,
 }
 
 /// Executes one job against its shard kernel. Returns
@@ -461,7 +451,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
     let (shards, shared, resident_pids) = build_shards(cfg);
     let residents: usize = resident_pids.iter().map(Vec::len).sum();
     shared.metrics().set_detailed(true);
-    shared.metrics().set_chain_shards_pinned(cfg.pre_fix);
     shared.set_log_capacity(cfg.log_capacity);
     shared.events().set_sampling(SamplingMode::OneIn(8));
 
@@ -556,14 +545,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         }
     }
 
-    // Export-side merge cost of the sharded chain-detail maps.
-    let m0 = Instant::now();
-    let chains = shared.metrics().chains_seen();
-    for chain in &chains {
-        let _ = shared.metrics().chain_snapshot(chain);
-    }
-    let merge_ns = m0.elapsed().as_nanos() as u64;
-
     // Snapshot the sink counters before the byte-measurement take
     // below disturbs them.
     let logs_emitted = shared.log_sink().emitted();
@@ -635,8 +616,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
         events_emitted: shared.events().emitted(),
         events_drained: shared.events().drained(),
         events_dropped: shared.events().dropped(),
-        merge_ns,
-        chains_seen: chains.len(),
     }
 }
 
@@ -654,8 +633,7 @@ impl FleetResult {
              \"event_p999_ns\":{},\"reloads\":{},\"generations_delta\":{},\
              \"logs\":{{\"emitted\":{},\"drained\":{},\"dropped\":{},\
              \"buffered_max\":{},\"buffered_final\":{},\"retained_bytes\":{}}},\
-             \"events\":{{\"emitted\":{},\"drained\":{},\"dropped\":{}}},\
-             \"merge_ns\":{},\"chains_seen\":{}}}",
+             \"events\":{{\"emitted\":{},\"drained\":{},\"dropped\":{}}}}}",
             self.shards,
             self.tasks,
             self.workers,
@@ -686,8 +664,6 @@ impl FleetResult {
             self.events_emitted,
             self.events_drained,
             self.events_dropped,
-            self.merge_ns,
-            self.chains_seen,
         )
     }
 }

@@ -56,7 +56,7 @@ use crate::events::{
 use crate::lang::{parse_command, Command, RuleOp};
 use crate::log::{LogDrain, LogRecord, LogSink, LogTag};
 use crate::metrics::{prom_label_esc, Counter, Metrics, OpCounter, TraceEvent, TraceHop};
-use crate::ratelimit::{ExceedPolicy, PerKey, ThrottleSlotState};
+use crate::ratelimit::{ExceedPolicy, PerKey};
 use crate::rule::{CtxPolicy, MatchModule, Rule, Target};
 use crate::snapshot::{RulesetDraft, RulesetSnapshot, SharedRuleset};
 use crate::value::ValueExpr;
@@ -123,24 +123,6 @@ pub struct ProcessFirewall {
     metrics: Metrics,
     logs: LogSink,
     events: EventPlane,
-}
-
-/// One throttle rule's live bucket occupancy, as reported by
-/// [`ProcessFirewall::throttle_occupancy`].
-#[derive(Debug, Clone)]
-pub struct ThrottleOccupancy {
-    /// Chain the rule lives in.
-    pub chain: String,
-    /// Rule index within the chain.
-    pub index: usize,
-    /// The rule's target kind (`RATELIMIT` or `QUOTA`).
-    pub kind: &'static str,
-    /// The rule's original `pftables` text.
-    pub text: String,
-    /// Live per-key slot states — a racy-by-design snapshot; each slot
-    /// is individually consistent (see
-    /// [`crate::ratelimit::ThrottleCell::occupancy`]).
-    pub slots: Vec<ThrottleSlotState>,
 }
 
 // The engine is shared across simulated tasks (and real threads in the
@@ -441,44 +423,20 @@ impl ProcessFirewall {
         self.metrics.drain_trace()
     }
 
-    /// Live bucket occupancy of every installed RATELIMIT/QUOTA rule:
-    /// which keys hold slots, their token balance or window count, and
-    /// whether the shared spill bucket is engaged. Each slot is read
-    /// atomically but the walk is racy by design — it observes the
-    /// buckets without serializing against consumers.
-    pub fn throttle_occupancy(&self) -> Vec<ThrottleOccupancy> {
-        let snap = self.base();
-        let mut out = Vec::new();
-        for (chain, rules) in snap.iter() {
-            for (index, rule) in rules.iter().enumerate() {
-                if !rule.target.is_throttle() {
-                    continue;
-                }
-                if let Some(cell) = rule.throttle_cell() {
-                    out.push(ThrottleOccupancy {
-                        chain: chain.name(),
-                        index,
-                        kind: rule.target.kind_name(),
-                        text: rule.text.clone(),
-                        slots: cell.occupancy(),
-                    });
-                }
-            }
-        }
-        out
-    }
-
     /// Renders the firewall-wide Prometheus exposition: everything in
     /// [`Metrics::render_prometheus`] plus the decision-event plane
     /// counters, the bounded LOG sink accounting
     /// (`pf_logs_{emitted,drained,dropped}_total` and the
-    /// `pf_logs_buffered`/`pf_logs_capacity` gauges), and live throttle
-    /// bucket occupancy.
+    /// `pf_logs_buffered`/`pf_logs_capacity` gauges), and one walk of
+    /// the live snapshot for the per-rule counters and throttle bucket
+    /// occupancy.
     ///
-    /// Occupancy values are gauges: token balance for RATELIMIT rules,
-    /// window grant count for QUOTA rules, keyed by
-    /// `{chain,rule,kind,key,spill}`. Label values are escaped per the
-    /// text exposition format.
+    /// A rule's `pf_rule_evaluated_total`/`pf_rule_hits_total` rows,
+    /// labelled `{chain,rule}`, appear once any of its counters is
+    /// nonzero; `pf_rule_throttled_total` appears once it is. Occupancy
+    /// values are gauges: token balance for RATELIMIT rules, window
+    /// grant count for QUOTA rules, keyed by `{chain,rule,kind,key,spill}`.
+    /// Label values are escaped per the text exposition format.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = self.metrics.render_prometheus();
@@ -489,39 +447,108 @@ impl ProcessFirewall {
         out.push_str("pf_event_sampling_mode{mode=\"");
         prom_label_esc(&mut out, &self.events.sampling().render());
         out.push_str("\"} 1\n");
-        for occ in self.throttle_occupancy() {
-            for slot in &occ.slots {
-                let value = if occ.kind == "RATELIMIT" {
-                    slot.tokens()
-                } else {
-                    slot.count()
+        for (chain, rules) in self.base().iter() {
+            let mut name = String::new();
+            prom_label_esc(&mut name, chain.as_str());
+            for (i, rule) in rules.iter().enumerate() {
+                let (evaluated, hits, throttled) =
+                    (rule.evaluated(), rule.hits(), rule.throttled());
+                if evaluated | hits | throttled != 0 {
+                    let labels = format!("chain=\"{name}\",rule=\"{i}\"");
+                    let _ = writeln!(out, "pf_rule_evaluated_total{{{labels}}} {evaluated}");
+                    let _ = writeln!(out, "pf_rule_hits_total{{{labels}}} {hits}");
+                    if throttled > 0 {
+                        let _ = writeln!(out, "pf_rule_throttled_total{{{labels}}} {throttled}");
+                    }
+                }
+                let Some(cell) = rule.throttle_cell() else {
+                    continue;
                 };
-                out.push_str("pf_throttle_occupancy{chain=\"");
-                prom_label_esc(&mut out, &occ.chain);
-                let _ = write!(
-                    out,
-                    "\",rule=\"{}\",kind=\"{}\",key=\"",
-                    occ.index, occ.kind
-                );
-                let _ = write!(out, "{}", slot.key);
-                let _ = writeln!(out, "\",spill=\"{}\"}} {value}", slot.spill);
+                let kind = rule.target.kind_name();
+                for slot in cell.occupancy() {
+                    let value = if kind == "RATELIMIT" {
+                        slot.tokens()
+                    } else {
+                        slot.count()
+                    };
+                    let _ = writeln!(
+                        out,
+                        "pf_throttle_occupancy{{chain=\"{name}\",rule=\"{i}\",kind=\"{kind}\",\
+                         key=\"{}\",spill=\"{}\"}} {value}",
+                        slot.key, slot.spill
+                    );
+                }
             }
         }
         out
     }
 
     /// Renders the firewall-wide JSON snapshot: everything in
-    /// [`Metrics::to_json`] plus an `events` object (plane counters and
-    /// the active sampling mode), a `logs` object (bounded-sink
-    /// accounting: emitted/drained/dropped/buffered/capacity), and a
-    /// `throttle_occupancy` array with
-    /// one entry per live bucket slot (`value` is the token balance for
-    /// RATELIMIT rules, the window grant count for QUOTA rules).
+    /// [`Metrics::to_json`] plus, from one walk of the live snapshot, a
+    /// `chains` object (per chain, a `{rule,evaluated,hits,throttled}`
+    /// entry for each rule with a nonzero counter; chains without one
+    /// are left out) and a `throttle_occupancy` array with one entry
+    /// per live bucket slot (`value` is the token balance for RATELIMIT
+    /// rules, the window grant count for QUOTA rules); then an `events`
+    /// object (plane counters and the active sampling mode) and a `logs`
+    /// object (bounded-sink accounting:
+    /// emitted/drained/dropped/buffered/capacity).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("{");
         self.metrics.write_json_members(&mut s);
-        s.push_str(",\"events\":{\"emitted\":");
+        s.push_str(",\"chains\":{");
+        let mut occupancy = String::new();
+        let mut chain_sep = "";
+        for (chain, rules) in self.base().iter() {
+            let mut open = false;
+            for (i, rule) in rules.iter().enumerate() {
+                let (evaluated, hits, throttled) =
+                    (rule.evaluated(), rule.hits(), rule.throttled());
+                if evaluated | hits | throttled != 0 {
+                    if open {
+                        s.push(',');
+                    } else {
+                        s.push_str(chain_sep);
+                        s.push('"');
+                        crate::log::esc(&mut s, chain.as_str());
+                        s.push_str("\":[");
+                        (open, chain_sep) = (true, ",");
+                    }
+                    let _ = write!(
+                        s,
+                        "{{\"rule\":{i},\"evaluated\":{evaluated},\"hits\":{hits},\"throttled\":{throttled}}}"
+                    );
+                }
+                let Some(cell) = rule.throttle_cell() else {
+                    continue;
+                };
+                let kind = rule.target.kind_name();
+                for slot in cell.occupancy() {
+                    let value = if kind == "RATELIMIT" {
+                        slot.tokens()
+                    } else {
+                        slot.count()
+                    };
+                    if !occupancy.is_empty() {
+                        occupancy.push(',');
+                    }
+                    occupancy.push_str("{\"chain\":\"");
+                    crate::log::esc(&mut occupancy, chain.as_str());
+                    let _ = write!(occupancy, "\",\"rule\":{i},\"kind\":\"{kind}\",\"text\":\"");
+                    crate::log::esc(&mut occupancy, &rule.text);
+                    let _ = write!(
+                        occupancy,
+                        "\",\"key\":{},\"tick\":{},\"value\":{value},\"spill\":{}}}",
+                        slot.key, slot.tick, slot.spill
+                    );
+                }
+            }
+            if open {
+                s.push(']');
+            }
+        }
+        s.push_str("},\"events\":{\"emitted\":");
         let _ = write!(s, "{}", self.events.emitted());
         let _ = write!(s, ",\"drained\":{}", self.events.drained());
         let _ = write!(s, ",\"dropped\":{}", self.events.dropped());
@@ -530,31 +557,7 @@ impl ProcessFirewall {
         s.push_str("\"},");
         self.logs.write_json(&mut s, "logs");
         s.push_str(",\"throttle_occupancy\":[");
-        let mut first = true;
-        for occ in self.throttle_occupancy() {
-            for slot in &occ.slots {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                let value = if occ.kind == "RATELIMIT" {
-                    slot.tokens()
-                } else {
-                    slot.count()
-                };
-                s.push_str("{\"chain\":\"");
-                crate::log::esc(&mut s, &occ.chain);
-                s.push_str("\",\"rule\":");
-                let _ = write!(s, "{}", occ.index);
-                let _ = write!(s, ",\"kind\":\"{}\",\"text\":\"", occ.kind);
-                crate::log::esc(&mut s, &occ.text);
-                let _ = write!(
-                    s,
-                    "\",\"key\":{},\"tick\":{},\"value\":{value},\"spill\":{}}}",
-                    slot.key, slot.tick, slot.spill
-                );
-            }
-        }
+        s.push_str(&occupancy);
         s.push_str("]}");
         s
     }
@@ -677,7 +680,7 @@ impl ProcessFirewall {
         // it claims a globally ordered id and starts its own timer
         // (`t0` above is detail-layer-gated, so it can't be reused).
         let gate = self.events.decision_gate();
-        let (event_id, ev_t0) = if gate.armed() {
+        let (event_id, event_t0) = if gate.armed() {
             (self.events.claim_id(), Some(Instant::now()))
         } else {
             (0, None)
@@ -707,15 +710,18 @@ impl ProcessFirewall {
             degraded: false,
             cache_track: false,
             cache_blocked: false,
+            gate,
+            shard,
             event_id,
+            event_t0,
+            vcache: VcacheOutcome::None,
             hops: 0,
             throttle: ThrottleOutcome::None,
-            fired_rule: 0,
+            accepted_by: 0,
         };
         // Select.
         let mut selection = inv.select(&mut pkt, op);
         // Memo.
-        let mut vc_outcome = VcacheOutcome::None;
         let mut hit = None;
         let mut miss = None;
         if let Some(vc) = cache {
@@ -725,7 +731,7 @@ impl ProcessFirewall {
                 // ever be cached, so skip the key build entirely — it
                 // would fetch object context that LAZYCON would
                 // otherwise defer.
-                vc_outcome = VcacheOutcome::Uncacheable;
+                inv.vcache = VcacheOutcome::Uncacheable;
             } else if !selection.is_empty() {
                 // An empty selection builds no key: there is no walk for
                 // a hit to stand in for. Key fetches reuse what selection
@@ -734,12 +740,12 @@ impl ProcessFirewall {
                 match VerdictKey::build(&mut pkt, op, snap.keys_resource(), &self.metrics) {
                     Some(key) => match vc.lookup(&key) {
                         Some(entry) => {
-                            vc_outcome = VcacheOutcome::Hit;
+                            inv.vcache = VcacheOutcome::Hit;
                             hit = Some(entry.clone());
                         }
                         None => miss = Some((vc, key)),
                     },
-                    None => vc_outcome = VcacheOutcome::Uncacheable,
+                    None => inv.vcache = VcacheOutcome::Uncacheable,
                 }
             }
         }
@@ -789,9 +795,9 @@ impl ProcessFirewall {
         }
         if let Some((vc, key)) = miss {
             if decision.degraded || inv.cache_blocked {
-                vc_outcome = VcacheOutcome::Uncacheable;
+                inv.vcache = VcacheOutcome::Uncacheable;
             } else {
-                vc_outcome = VcacheOutcome::Miss;
+                inv.vcache = VcacheOutcome::Miss;
                 vc.insert(
                     key,
                     CacheEntry {
@@ -801,7 +807,7 @@ impl ProcessFirewall {
                 );
             }
         }
-        let vc_counters = match vc_outcome {
+        let vc_counters = match inv.vcache {
             VcacheOutcome::None => None,
             VcacheOutcome::Hit => Some((Counter::VcacheHits, OpCounter::VcacheHits)),
             VcacheOutcome::Miss => Some((Counter::VcacheMisses, OpCounter::VcacheMisses)),
@@ -815,60 +821,37 @@ impl ProcessFirewall {
         self.logs.append(inv.logs);
         self.metrics.observe_eval(t0);
         // Emit.
-        let rk = event_rule_key(event_id, &decision, inv.fired_rule);
-        let verdict = EventVerdict::from(kind);
-        self.emit_decision_event(
-            gate,
-            shard,
-            event_id,
-            ev_t0,
-            &mut pkt,
-            op,
-            &decision,
-            verdict,
-            vc_outcome,
-            inv.throttle,
-            inv.hops,
-            rk,
-        );
+        self.emit_decision_event(&inv, &mut pkt, op, &decision, kind);
         decision
     }
 
-    /// Builds and emits one [`DecisionEvent`] for a completed
-    /// invocation. No-op unless the gate selected the invocation;
-    /// under `errors-only` the fully built event is discarded when the
-    /// outcome is clean (the id was already claimed, so `seq` gaps in
-    /// drained output are expected in that mode).
-    #[allow(clippy::too_many_arguments)]
+    /// Emit: builds and emits one [`DecisionEvent`] for an invocation
+    /// and its finalized decision. No-op unless the gate selected the
+    /// invocation; under `errors-only` the fully built event is
+    /// discarded when the outcome is clean (the id was already claimed,
+    /// so `seq` gaps in drained output are expected in that mode).
     fn emit_decision_event(
         &self,
-        gate: Gate,
-        shard: usize,
-        seq: u64,
-        t0: Option<Instant>,
+        inv: &Invocation<'_>,
         pkt: &mut Packet<'_>,
         op: LsmOperation,
         decision: &EvalDecision,
-        verdict: EventVerdict,
-        vcache: VcacheOutcome,
-        throttle: ThrottleOutcome,
-        hops: u32,
-        rule_key: u64,
+        kind: VerdictKind,
     ) {
-        if !gate.armed() {
+        if !inv.gate.armed() {
             return;
         }
         let mut ev = DecisionEvent::empty();
-        ev.seq = seq;
+        ev.seq = inv.event_id;
         ev.kind = EventKind::Decision;
         ev.generation = decision.generation;
         ev.op = op;
-        ev.verdict = verdict;
+        ev.verdict = EventVerdict::from(kind);
         ev.degraded = decision.degraded;
-        ev.vcache = vcache;
-        ev.throttle = throttle;
-        ev.hops = hops;
-        ev.rule_key = rule_key;
+        ev.vcache = inv.vcache;
+        ev.throttle = inv.throttle;
+        ev.hops = inv.hops;
+        ev.rule_key = (decision.dropped_by.as_ref()).map_or(inv.accepted_by, |by| by.rule.key());
         {
             let env = pkt.env_ref();
             ev.ts = env.now();
@@ -884,27 +867,14 @@ impl ProcessFirewall {
             ev.ept_pc = pc;
         }
         ev.trace_armed = pkt.trace_clock().is_some();
-        if let Some(t0) = t0 {
+        if let Some(t0) = inv.event_t0 {
             ev.latency_ns = t0.elapsed().as_nanos() as u64;
         }
-        if gate == Gate::ErrorsOnly && !ev.is_error() {
+        if inv.gate == Gate::ErrorsOnly && !ev.is_error() {
             return;
         }
-        self.events.emit(shard, &ev);
+        self.events.emit(inv.shard, &ev);
     }
-}
-
-/// The [`events::rule_key`] a sampled decision event reports: the
-/// denying rule, else `fired` (the ACCEPT rule that ended the walk, or
-/// 0). Unsampled invocations (`event_id == 0`) skip the hash.
-fn event_rule_key(event_id: u64, decision: &EvalDecision, fired: u64) -> u64 {
-    if event_id == 0 {
-        return 0;
-    }
-    decision
-        .dropped_by
-        .as_ref()
-        .map_or(fired, |by| events::rule_key(by.chain.as_str(), by.index))
 }
 
 /// One invocation's traversal state: the pinned snapshot, the engine's
@@ -926,10 +896,18 @@ struct Invocation<'a> {
     /// Set when a traversed rule consulted context outside the verdict
     /// key or carried a side-effecting target; blocks the insertion.
     cache_blocked: bool,
+    /// The decision-event sampling gate for this invocation.
+    gate: Gate,
+    /// The event-plane shard this invocation emits into.
+    shard: usize,
     /// Decision-event id claimed for this invocation, or 0 when the
     /// sampling gate did not select it. Stamped into TRACE hops so the
     /// per-hop chain path joins back to its decision event.
     event_id: u64,
+    /// When a selected invocation's event span started.
+    event_t0: Option<Instant>,
+    /// Verdict-cache participation, set by the memo and finalize stages.
+    vcache: VcacheOutcome,
     /// Rules traversed by this walk (every chain, jumps included).
     hops: u32,
     /// The invocation's throttle outcome: `Granted` once any throttle
@@ -937,10 +915,9 @@ struct Invocation<'a> {
     /// if one rejects it (rejections are terminal for the walk, so the
     /// last write wins correctly).
     throttle: ThrottleOutcome,
-    /// [`events::rule_key`] of the ACCEPT rule that ended the walk, if
-    /// any; denials are attributed via `dropped_by` instead. Only
-    /// computed when `event_id != 0`.
-    fired_rule: u64,
+    /// [`Rule::key`] of the ACCEPT rule that ended the walk, or 0;
+    /// denials are attributed via `dropped_by` instead.
+    accepted_by: u64,
 }
 
 /// The rules one hook walks, chosen once before the verdict memo is
@@ -1153,12 +1130,13 @@ impl<'a> Invocation<'a> {
         for (index, rule) in rules {
             self.hops += 1;
             self.metrics.bump(Counter::RulesEvaluated);
-            self.metrics.rule_evaluated(chain, index);
+            if self.metrics.detailed() {
+                rule.bump_evaluated();
+            }
             let eval = self.rule_matches(rule, pkt, op, chain);
             let fired = !matches!(eval, RuleEval::NoMatch);
             if fired {
                 rule.bump_hits();
-                self.metrics.rule_hit(chain, index);
                 if matches!(rule.target, Target::Trace) && matches!(eval, RuleEval::Match) {
                     pkt.start_trace();
                 }
@@ -1199,11 +1177,7 @@ impl<'a> Invocation<'a> {
                     return Some(self.deny(chain, index, rule, self.degraded));
                 }
                 Target::Accept => {
-                    if self.event_id != 0 {
-                        // `as_str` avoids the `name()` allocation; only
-                        // sampled invocations pay even the hash.
-                        self.fired_rule = events::rule_key(chain.as_str(), index);
-                    }
+                    self.accepted_by = rule.key();
                     return Some(EvalDecision::allow(self.snap.generation()));
                 }
                 Target::Continue => {}
@@ -1298,13 +1272,18 @@ impl<'a> Invocation<'a> {
             }
             (key, now) => (key.ok().unwrap_or(0), now.ok().unwrap_or(0)),
         };
-        let granted = match (&rule.target, rule.throttle_cell()) {
-            (Target::RateLimit { rate, burst, .. }, Some(cell)) => {
-                cell.rate_consume(key, now, *rate, *burst)
-            }
-            (Target::Quota { limit, window, .. }, Some(cell)) => {
-                cell.quota_consume(key, now, *limit, *window)
-            }
+        let cell = rule.throttle_cell()?;
+        let (granted, total, split) = match &rule.target {
+            Target::RateLimit { rate, burst, .. } => (
+                cell.rate_consume(key, now, *rate, *burst),
+                Counter::RatelimitThrottled,
+                OpCounter::RatelimitThrottled,
+            ),
+            Target::Quota { limit, window, .. } => (
+                cell.quota_consume(key, now, *limit, *window),
+                Counter::QuotaExceeded,
+                OpCounter::QuotaExceeded,
+            ),
             _ => return None,
         };
         if granted {
@@ -1313,23 +1292,8 @@ impl<'a> Invocation<'a> {
             }
             return None;
         }
-        match &rule.target {
-            Target::RateLimit { .. } => self.metrics.bump_throttled(
-                Counter::RatelimitThrottled,
-                OpCounter::RatelimitThrottled,
-                op,
-                chain,
-                index,
-            ),
-            Target::Quota { .. } => self.metrics.bump_throttled(
-                Counter::QuotaExceeded,
-                OpCounter::QuotaExceeded,
-                op,
-                chain,
-                index,
-            ),
-            _ => {}
-        }
+        self.metrics.bump_split(total, split, op);
+        cell.bump_rejected();
         self.throttle_exceeded(rule, chain, index, pkt, op, exceed)
     }
 
@@ -2642,15 +2606,109 @@ mod tests {
         install(&pf, &mut env, "pftables -o FILE_WRITE -j DROP");
         install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
         pf.evaluate(&mut env, LsmOperation::FileOpen);
-        assert!(
-            pf.metrics().chain_snapshot(&ChainName::Input).is_none(),
-            "per-rule counters stay off by default"
+        assert_eq!(
+            input_counts(&pf, Rule::evaluated),
+            [0, 0],
+            "evaluated counts stay off by default"
         );
         pf.metrics().set_detailed(true);
         pf.evaluate(&mut env, LsmOperation::FileOpen);
-        let snap = pf.metrics().chain_snapshot(&ChainName::Input).unwrap();
-        assert_eq!(snap.evaluated, [1, 1], "both rules were scanned once");
-        assert_eq!(snap.hits, [0, 1], "only the FILE_OPEN rule fired");
+        assert_eq!(
+            input_counts(&pf, Rule::evaluated),
+            [1, 1],
+            "both rules were scanned once"
+        );
+        assert_eq!(
+            input_counts(&pf, Rule::hits),
+            [0, 2],
+            "only the FILE_OPEN rule fired, and hits count with detail off"
+        );
+    }
+
+    /// One counter of every input-chain rule, in chain order.
+    fn input_counts(pf: &ProcessFirewall, counter: fn(&Rule) -> u64) -> Vec<u64> {
+        let snap = pf.base();
+        snap.chain(&ChainName::Input)
+            .iter()
+            .map(|r| counter(r))
+            .collect()
+    }
+
+    /// Per-rule counters live on the rule, so a reload that moves a
+    /// rule moves its counters with it: every per-rule view reports
+    /// them at the rule's new index, and the rule now in its old place
+    /// starts at zero.
+    #[test]
+    fn rule_counters_follow_the_rule_across_reloads() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        pf.metrics().set_detailed(true);
+        let mut env = MockEnv::new().with_object("etc_t", 5, 0);
+        let a = "pftables -o FILE_OPEN -d etc_t -j DROP";
+        let b = "pftables -o FILE_OPEN -d tmp_t -j DROP";
+        install(&pf, &mut env, a);
+        assert_eq!(
+            pf.evaluate(&mut env, LsmOperation::FileOpen).verdict,
+            Verdict::Deny
+        );
+        pf.reload([b, a], &mut env.mac, &mut env.programs).unwrap();
+
+        let snap = pf.base();
+        let rules = snap.chain(&ChainName::Input);
+        assert_eq!(rules[1].text, a);
+        assert_eq!((rules[1].evaluated(), rules[1].hits()), (1, 1));
+        assert_eq!((rules[0].evaluated(), rules[0].hits()), (0, 0));
+
+        let listing = crate::render::render_rules(&pf);
+        let line = listing.lines().find(|l| l.ends_with(a)).unwrap();
+        assert!(line.starts_with("  [  1] evals=1 "), "{line}");
+        assert!(line.contains(" hits=1 "), "{line}");
+
+        let prom = pf.render_prometheus();
+        let row = "pf_rule_hits_total{chain=\"input\",rule=\"1\"} 1";
+        assert!(prom.lines().any(|l| l == row), "{prom}");
+        assert!(!prom.contains("rule=\"0\"}"), "{prom}");
+
+        let json = pf.to_json();
+        let chains =
+            "\"chains\":{\"input\":[{\"rule\":1,\"evaluated\":1,\"hits\":1,\"throttled\":0}]}";
+        assert!(json.contains(chains), "{json}");
+    }
+
+    /// A decision event names its rule by [`Rule::key`], which a kept
+    /// rule keeps: resolving the key against the live base finds the
+    /// rule wherever a later reload moved it. ACCEPT rules are named
+    /// the same way.
+    #[test]
+    fn decision_events_name_the_rule_across_reloads() {
+        let pf = ProcessFirewall::new(OptLevel::Full);
+        pf.set_sampling(SamplingMode::Always);
+        let mut env = MockEnv::new().with_object("etc_t", 5, 0);
+        let a = "pftables -o FILE_OPEN -d etc_t -j DROP";
+        let b = "pftables -o FILE_OPEN -d tmp_t -j DROP";
+        let accept = "pftables -o FILE_READ -j ACCEPT";
+        pf.install_all([a, accept], &mut env.mac, &mut env.programs)
+            .unwrap();
+        pf.evaluate(&mut env, LsmOperation::FileOpen);
+        pf.evaluate(&mut env, LsmOperation::FileRead);
+        let decisions: Vec<DecisionEvent> = (pf.events().drain().into_iter())
+            .filter(|e| e.kind == EventKind::Decision)
+            .collect();
+        assert_eq!(decisions.len(), 2);
+        pf.reload([b, a, accept], &mut env.mac, &mut env.programs)
+            .unwrap();
+
+        let snap = pf.base();
+        let named = |key: u64| {
+            assert_ne!(key, 0);
+            let mut rules = snap.iter().flat_map(|(chain, rules)| {
+                rules.iter().enumerate().map(move |(i, r)| (chain, i, r))
+            });
+            rules
+                .find(|(_, _, r)| r.key() == key)
+                .map(|(c, i, r)| (c.as_str(), i, &r.text[..]))
+        };
+        assert_eq!(named(decisions[0].rule_key), Some(("input", 1, a)));
+        assert_eq!(named(decisions[1].rule_key), Some(("input", 2, accept)));
     }
 
     #[test]
@@ -3181,6 +3239,7 @@ mod tests {
     #[test]
     fn vcache_hits_preserve_verdicts_counters_and_deny_logs() {
         let pf = ProcessFirewall::new(OptLevel::Vcache);
+        pf.metrics().set_detailed(true);
         let mut env = MockEnv::new().with_object("tmp_t", 5, 1000);
         install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j DROP");
         let mut session = TaskSession::new();
@@ -3189,6 +3248,8 @@ mod tests {
         assert_eq!(pf.metrics().vcache_misses(), 1);
         assert_eq!(session.vcache_len(), 1);
         let rules_after_miss = pf.metrics().rules_evaluated();
+        let rule = Arc::clone(&pf.base().chain(&ChainName::Input)[0]);
+        assert_eq!((rule.evaluated(), rule.hits()), (1, 1));
         let d2 = session.evaluate(&pf, &mut env, LsmOperation::FileOpen);
         assert_eq!(d2, d1, "cached decision is identical");
         assert_eq!(pf.metrics().vcache_hits(), 1);
@@ -3196,6 +3257,11 @@ mod tests {
             pf.metrics().rules_evaluated(),
             rules_after_miss,
             "a hit walks no rules"
+        );
+        assert_eq!(
+            (rule.evaluated(), rule.hits()),
+            (1, 1),
+            "per-rule counters count walks, and a hit is not one"
         );
         // The hit renders the deny log from the live invocation: both
         // invocations are audited.

@@ -263,28 +263,6 @@ impl ThrottleOutcome {
     }
 }
 
-/// A stable 64-bit key naming one rule position (chain + index), used
-/// to attribute a decision event to its dropping rule without putting
-/// a `String` in the fixed-size record. `0` means "no rule". Consumers
-/// resolve keys back to `(chain, index, text)` by hashing the live
-/// rule base with this same function (see the `pftop` harness).
-pub fn rule_key(chain: &str, index: usize) -> u64 {
-    // FNV-1a over the chain name, then the index, nudged off zero so 0
-    // can mean "no attributed rule".
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in chain.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h ^= index as u64;
-    h = h.wrapping_mul(0x1000_0000_01b3);
-    if h == 0 {
-        1
-    } else {
-        h
-    }
-}
-
 /// One structured event: a hook decision or a control-plane action.
 ///
 /// The record is a flat, fixed-size value (no heap fields) so it can
@@ -332,7 +310,11 @@ pub struct DecisionEvent {
     /// path is then in the TRACE ring, correlated by `seq` (the
     /// `TraceEvent::invocation` field).
     pub trace_armed: bool,
-    /// [`rule_key`] of the rule a denial is attributed to; 0 otherwise.
+    /// [`crate::Rule::key`] of the rule a denial is attributed to, or
+    /// of the ACCEPT rule that ended the walk; 0 for a default allow,
+    /// an ACCEPT served from the verdict cache, and control events.
+    /// Resolve it against the live rule base: the key follows the rule
+    /// wherever reloads move it.
     pub rule_key: u64,
     /// Whole-hook latency in nanoseconds (control events: the edit's
     /// duration).
@@ -830,7 +812,7 @@ mod tests {
         e.ept_pc = 0x2d637;
         e.hops = 12;
         e.trace_armed = true;
-        e.rule_key = rule_key("input", 3);
+        e.rule_key = 0x5eed;
         e.latency_ns = 480;
         e
     }
@@ -1020,14 +1002,5 @@ mod tests {
         assert_eq!(drained[0].aux2, 6);
         assert_eq!(drained[0].aux3, 800);
         assert!(drained[0].to_json().contains("\"compile_ns\":800"));
-    }
-
-    #[test]
-    fn rule_key_is_stable_and_nonzero() {
-        let a = rule_key("input", 0);
-        assert_eq!(a, rule_key("input", 0));
-        assert_ne!(a, 0);
-        assert_ne!(a, rule_key("input", 1));
-        assert_ne!(a, rule_key("side", 0));
     }
 }

@@ -43,11 +43,12 @@
 //!   walked as an order-preserving k-way merge;
 //! * [`log`] is the LOG target's JSON record, consumed by `pf-rulegen`;
 //! * [`metrics`] is the observability registry: the counter table
-//!   (always-on totals, per-operation and per-field rows), per-rule
-//!   detail, latency histograms, the TRACE event ring, and the
-//!   Prometheus/JSON/summary exporters that walk the table (see
-//!   `docs/OBSERVABILITY.md`) — all thread-safe, with sharded latency
-//!   histograms merged on export;
+//!   (always-on totals, per-operation and per-field rows), latency
+//!   histograms, the TRACE event ring, and the Prometheus/JSON/summary
+//!   exporters that walk the table (see `docs/OBSERVABILITY.md`) — all
+//!   thread-safe, with sharded latency histograms merged on export.
+//!   Per-rule counters live on each [`rule::Rule`], and the
+//!   firewall-level exporters render them from the live snapshot;
 //! * [`events`] is the decision-event tracing plane: per-shard
 //!   lock-free rings of compact [`events::DecisionEvent`]s (verdict,
 //!   generation, vcache/throttle outcome, latency) sampled at a
@@ -103,7 +104,7 @@ pub use chain::{ChainName, RuleBase};
 pub use compile::{CompiledDispatch, MergeDispatch};
 pub use config::{OptLevel, PfConfig};
 pub use context::{CtxField, CONCACHE_SLOTS};
-pub use engine::{DroppedBy, EvalDecision, ProcessFirewall, ThrottleOccupancy};
+pub use engine::{DroppedBy, EvalDecision, ProcessFirewall};
 pub use env::{CtxError, EvalEnv, Fetched, ObjectInfo, SignalInfo};
 pub use events::{
     DecisionEvent, EventKind, EventPlane, EventVerdict, SamplingMode, ThrottleOutcome,
@@ -112,7 +113,7 @@ pub use events::{
 pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultyEnv};
 pub use lang::render_rule;
 pub use log::{LogDrain, LogEntry, LogSink, DEFAULT_LOG_CAPACITY};
-pub use metrics::{ChainSnapshot, FieldCounter, Histogram, Metrics, ShardedHistogram, TraceEvent};
+pub use metrics::{FieldCounter, Histogram, Metrics, ShardedHistogram, TraceEvent};
 pub use ratelimit::{ExceedPolicy, PerKey, ThrottleCell, ThrottleSlotState};
 pub use render::render_rules;
 pub use rule::{CtxPolicy, MatchModule, Rule, Target};

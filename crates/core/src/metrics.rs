@@ -11,8 +11,6 @@
 //!   and the descriptors that `reset`, the Prometheus and JSON exporters
 //!   and the `name value` summary all walk, so no exporter names a
 //!   counter itself;
-//! * per-rule and per-chain hit/evaluated counters, keyed by chain name
-//!   and rule index — the data behind the `pftables -L -v` listing;
 //! * log-linear latency histograms (nanosecond buckets, power-of-two
 //!   octaves split four ways) for whole-hook evaluation and for context
 //!   fetches;
@@ -24,14 +22,20 @@
 //! the latency histograms are *sharded* — each recording thread owns one
 //! shard of atomic buckets, and [`Metrics::eval_latency`]/
 //! [`Metrics::fetch_latency`] merge the shards into one summary
-//! histogram on export. The per-rule counter maps sit behind sharded
-//! mutexes; the TRACE ring is a [`BoundedRing`] of fixed hops, rendered
-//! into [`TraceEvent`]s by [`Metrics::drain_trace`].
+//! histogram on export. The TRACE ring is a [`BoundedRing`] of fixed
+//! hops, rendered into [`TraceEvent`]s by [`Metrics::drain_trace`].
+//!
+//! Per-rule counters are not here: each [`crate::rule::Rule`] carries
+//! its own `evaluated`/`hits`/`throttled` tallies, so they follow the
+//! rule across reloads, and the firewall-level exporters
+//! (`ProcessFirewall::render_prometheus`/`to_json`) render them from the
+//! live snapshot.
 //!
 //! The detail layer is gated by [`Metrics::set_detailed`]: with
 //! recording off (the default) every detail hook is a no-op and no
 //! clock is read, which is the baseline the `metrics_overhead` bench
-//! compares against. The totals and the per-field failure counts are
+//! compares against. The engine reads the same switch to decide whether
+//! a scanned rule counts in its `evaluated`. The totals and the per-field failure counts are
 //! always on: they define engine semantics that tests assert (the
 //! verdict partition `drops + accepts + default_allows == invocations`)
 //! or are security signals — a failed fetch, a truncated traversal, a
@@ -39,10 +43,8 @@
 //! profiling switch. The per-operation splits and the per-field
 //! fetch/hit/miss counts ride in the detail layer.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use pf_types::LsmOperation;
@@ -349,66 +351,6 @@ fn load(c: &AtomicU64) -> u64 {
     c.load(Ordering::Relaxed)
 }
 
-/// Per-rule evaluated/hit tallies for one chain, indexed by rule index.
-#[derive(Debug, Default, Clone)]
-struct ChainCounters {
-    evaluated: Vec<u64>,
-    hits: Vec<u64>,
-    throttled: Vec<u64>,
-}
-
-impl ChainCounters {
-    fn ensure(&mut self, index: usize) {
-        if self.evaluated.len() <= index {
-            self.evaluated.resize(index + 1, 0);
-            self.hits.resize(index + 1, 0);
-            self.throttled.resize(index + 1, 0);
-        }
-    }
-
-    /// Element-wise sum of another shard's tallies into this one.
-    fn merge(&mut self, other: &ChainCounters) {
-        if !other.evaluated.is_empty() {
-            self.ensure(other.evaluated.len() - 1);
-        }
-        for (i, v) in other.evaluated.iter().enumerate() {
-            self.evaluated[i] += v;
-        }
-        for (i, v) in other.hits.iter().enumerate() {
-            self.hits[i] += v;
-        }
-        for (i, v) in other.throttled.iter().enumerate() {
-            self.throttled[i] += v;
-        }
-    }
-}
-
-/// The per-rule detail maps, sharded like [`ShardedHistogram`]: each
-/// recording thread takes its round-robin shard's lock, so the
-/// per-rule-scanned recorders — the hottest detail-layer site — stop
-/// convoying a fleet of workers on one global mutex. Exports merge the
-/// shards into one `BTreeMap`, keeping the ordering stable.
-#[derive(Debug)]
-struct ChainShards([Mutex<BTreeMap<ChainName, ChainCounters>>; HISTOGRAM_SHARDS]);
-
-impl Default for ChainShards {
-    fn default() -> Self {
-        ChainShards(std::array::from_fn(|_| Mutex::new(BTreeMap::new())))
-    }
-}
-
-/// A snapshot of one chain's per-rule counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainSnapshot {
-    /// Times each rule's match evaluation started, by rule index.
-    pub evaluated: Vec<u64>,
-    /// Times each rule matched (target ran), by rule index.
-    pub hits: Vec<u64>,
-    /// Times each rule's RATELIMIT/QUOTA budget rejected an access,
-    /// by rule index (zero for non-throttle rules).
-    pub throttled: Vec<u64>,
-}
-
 /// A log-linear latency histogram over nanosecond values.
 ///
 /// Values below 8 ns get exact buckets; above that each power-of-two
@@ -643,11 +585,6 @@ pub struct Metrics {
     /// The per-field counters, by [`FieldCounter`] then `field.bit()`.
     fields: [[AtomicU64; NUM_FIELDS]; NUM_FIELD_ROWS],
     detailed: AtomicBool,
-    chains: ChainShards,
-    /// When set, every per-rule recorder uses shard 0 — the pre-shard
-    /// single-lock behaviour. A bench/regression knob
-    /// ([`Metrics::set_chain_shards_pinned`]), not a production mode.
-    chain_shards_pinned: AtomicBool,
     eval_ns: ShardedHistogram,
     fetch_ns: ShardedHistogram,
     // --- TRACE ring (driven by rules, not by `detailed`) ---
@@ -661,66 +598,20 @@ impl Metrics {
     }
 
     /// Resets every counter, histogram, and the trace ring. The detail
-    /// recording flag is preserved.
+    /// recording flag is preserved; per-rule counters live on the rules
+    /// and are not touched.
     pub fn reset(&self) {
         let (ops, fields) = (self.ops.as_flattened(), self.fields.as_flattened());
         for c in self.totals.iter().chain(ops).chain(fields) {
             c.store(0, Ordering::Relaxed);
-        }
-        for shard in &self.chains.0 {
-            shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .clear();
         }
         self.eval_ns.reset();
         self.fetch_ns.reset();
         self.trace.reset();
     }
 
-    /// Locks this thread's per-chain counter shard (shard 0 when
-    /// pinned), recovering from poisoning: the maps only ever grow
-    /// monotonic tallies, so contents left by a panicked recorder are
-    /// still valid statistics.
-    fn lock_chain_shard(&self) -> std::sync::MutexGuard<'_, BTreeMap<ChainName, ChainCounters>> {
-        let shard = if self.chain_shards_pinned.load(Ordering::Relaxed) {
-            0
-        } else {
-            shard_index()
-        };
-        self.chains.0[shard]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Pins every per-rule recorder to one shard, restoring the
-    /// pre-shard single-global-lock behaviour. Benchmarks use this to
-    /// measure what the sharding buys; leave it off otherwise.
-    pub fn set_chain_shards_pinned(&self, pinned: bool) {
-        self.chain_shards_pinned.store(pinned, Ordering::Relaxed);
-    }
-
-    /// Whether per-rule recorders are pinned to one shard.
-    pub fn chain_shards_pinned(&self) -> bool {
-        self.chain_shards_pinned.load(Ordering::Relaxed)
-    }
-
-    /// Merges every shard's tallies for one chain, if any recorded.
-    fn merged_chain(&self, chain: &ChainName) -> Option<ChainCounters> {
-        let mut merged: Option<ChainCounters> = None;
-        for shard in &self.chains.0 {
-            let guard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(c) = guard.get(chain) {
-                merged.get_or_insert_with(ChainCounters::default).merge(c);
-            }
-        }
-        merged
-    }
-
-    /// Turns the detail layer (per-rule/per-op/per-field counters and
-    /// latency histograms) on or off. Off is the no-op recorder: the
+    /// Turns the detail layer (per-op/per-field counters, per-rule
+    /// `evaluated` and latency histograms) on or off. Off is the no-op recorder: the
     /// detail hooks cost one branch and no clock is read.
     pub fn set_detailed(&self, on: bool) {
         self.detailed.store(on, Ordering::Relaxed);
@@ -763,31 +654,6 @@ impl Metrics {
         }
     }
 
-    /// Counts one RATELIMIT/QUOTA rejection: the always-on total, and in
-    /// the detail layer its per-operation split and the rule's tally.
-    #[inline]
-    pub(crate) fn bump_throttled(
-        &self,
-        total: Counter,
-        split: OpCounter,
-        op: LsmOperation,
-        chain: &ChainName,
-        index: usize,
-    ) {
-        self.bump_split(total, split, op);
-        if self.detailed() {
-            self.rule_throttled_slow(chain, index);
-        }
-    }
-
-    #[cold]
-    fn rule_throttled_slow(&self, chain: &ChainName, index: usize) {
-        let mut chains = self.lock_chain_shard();
-        let c = chains.entry(chain.clone()).or_default();
-        c.ensure(index);
-        c.throttled[index] += 1;
-    }
-
     // --- counter-table readers (totals: the generated accessors) ---
 
     /// One field's value of a per-field counter.
@@ -802,64 +668,6 @@ impl Metrics {
             self.by_field(FieldCounter::Hits, field),
             self.by_field(FieldCounter::Misses, field),
         )
-    }
-
-    // --- per-rule / per-chain counters ---
-
-    // The per-rule recorders run once per rule scanned — the hottest
-    // site in the engine. Keep the detailed-off path to one inlined
-    // branch and push the map lookup out of line.
-    #[inline]
-    pub(crate) fn rule_evaluated(&self, chain: &ChainName, index: usize) {
-        if self.detailed() {
-            self.rule_evaluated_slow(chain, index);
-        }
-    }
-
-    #[cold]
-    fn rule_evaluated_slow(&self, chain: &ChainName, index: usize) {
-        let mut chains = self.lock_chain_shard();
-        let c = chains.entry(chain.clone()).or_default();
-        c.ensure(index);
-        c.evaluated[index] += 1;
-    }
-
-    #[inline]
-    pub(crate) fn rule_hit(&self, chain: &ChainName, index: usize) {
-        if self.detailed() {
-            self.rule_hit_slow(chain, index);
-        }
-    }
-
-    #[cold]
-    fn rule_hit_slow(&self, chain: &ChainName, index: usize) {
-        let mut chains = self.lock_chain_shard();
-        let c = chains.entry(chain.clone()).or_default();
-        c.ensure(index);
-        c.hits[index] += 1;
-    }
-
-    /// Snapshot of one chain's per-rule counters, if any were recorded:
-    /// every shard's tallies merged element-wise.
-    pub fn chain_snapshot(&self, chain: &ChainName) -> Option<ChainSnapshot> {
-        self.merged_chain(chain).map(|c| ChainSnapshot {
-            evaluated: c.evaluated,
-            hits: c.hits,
-            throttled: c.throttled,
-        })
-    }
-
-    /// Names of chains with recorded per-rule counters, in stable
-    /// (`BTreeMap`) order regardless of which shards recorded them.
-    pub fn chains_seen(&self) -> Vec<ChainName> {
-        let mut seen: std::collections::BTreeSet<ChainName> = std::collections::BTreeSet::new();
-        for shard in &self.chains.0 {
-            let guard = shard
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            seen.extend(guard.keys().cloned());
-        }
-        seen.into_iter().collect()
     }
 
     // --- latency histograms ---
@@ -969,30 +777,6 @@ impl Metrics {
                 }
             }
         }
-        for chain in self.chains_seen() {
-            let snap = self.chain_snapshot(&chain).unwrap();
-            // User chain names are free-form rule-language tokens;
-            // escape them like every other label value.
-            let mut name = String::new();
-            prom_label_esc(&mut name, &chain.name());
-            for (i, (&ev, &hit)) in snap.evaluated.iter().zip(&snap.hits).enumerate() {
-                let _ = writeln!(
-                    out,
-                    "pf_rule_evaluated_total{{chain=\"{name}\",rule=\"{i}\"}} {ev}"
-                );
-                let _ = writeln!(
-                    out,
-                    "pf_rule_hits_total{{chain=\"{name}\",rule=\"{i}\"}} {hit}"
-                );
-                let throttled = snap.throttled.get(i).copied().unwrap_or(0);
-                if throttled > 0 {
-                    let _ = writeln!(
-                        out,
-                        "pf_rule_throttled_total{{chain=\"{name}\",rule=\"{i}\"}} {throttled}"
-                    );
-                }
-            }
-        }
         for (metric, hist) in [
             ("pf_eval_latency_ns", self.eval_latency()),
             ("pf_fetch_latency_ns", self.fetch_latency()),
@@ -1036,32 +820,9 @@ impl Metrics {
             }
             s.push('}');
         }
-        s.push_str(",\"chains\":{");
-        let mut first = true;
-        for chain in self.chains_seen() {
-            let snap = self.chain_snapshot(&chain).unwrap();
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push('"');
-            esc(s, &chain.name());
-            s.push_str("\":[");
-            for (i, (&ev, &hit)) in snap.evaluated.iter().zip(&snap.hits).enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let throttled = snap.throttled.get(i).copied().unwrap_or(0);
-                let _ = write!(
-                    s,
-                    "{{\"rule\":{i},\"evaluated\":{ev},\"hits\":{hit},\"throttled\":{throttled}}}"
-                );
-            }
-            s.push(']');
-        }
         // Fields are grouped by field: one object per field that moved,
         // holding every field counter.
-        s.push_str("},\"fields\":{");
+        s.push_str(",\"fields\":{");
         let mut sep = "";
         for i in 0..NUM_FIELDS {
             let values: [u64; NUM_FIELD_ROWS] = std::array::from_fn(|r| load(&self.fields[r][i]));
@@ -1145,23 +906,16 @@ mod tests {
     fn detail_layer_is_noop_until_enabled() {
         let m = Metrics::new();
         m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
-        m.rule_evaluated(&ChainName::Input, 0);
         m.bump_field(FieldCounter::Fetches, CtxField::ResourceId);
         assert!(m.timer().is_none());
         assert_eq!(m.by_op(OpCounter::Invocations, LsmOperation::FileOpen), 0);
-        assert!(m.chain_snapshot(&ChainName::Input).is_none());
         assert_eq!(m.field_counts(CtxField::ResourceId), (0, 0, 0));
 
         m.set_detailed(true);
         m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
-        m.rule_evaluated(&ChainName::Input, 2);
-        m.rule_hit(&ChainName::Input, 2);
         m.observe_fetch(CtxField::ResourceId, None, true);
         assert!(m.timer().is_some());
         assert_eq!(m.by_op(OpCounter::Invocations, LsmOperation::FileOpen), 1);
-        let snap = m.chain_snapshot(&ChainName::Input).unwrap();
-        assert_eq!(snap.evaluated, [0, 0, 1]);
-        assert_eq!(snap.hits, [0, 0, 1]);
         assert_eq!(m.field_counts(CtxField::ResourceId), (1, 0, 1));
     }
 
@@ -1265,7 +1019,6 @@ mod tests {
                     m.bump(Counter::Invocations);
                     m.bump(Counter::DefaultAllows);
                     m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
-                    m.rule_evaluated(&ChainName::Input, 1);
                 }
             }));
         }
@@ -1278,46 +1031,6 @@ mod tests {
             m.by_op(OpCounter::Invocations, LsmOperation::FileOpen),
             20_000
         );
-        let snap = m.chain_snapshot(&ChainName::Input).unwrap();
-        assert_eq!(snap.evaluated, [0, 20_000]);
-    }
-
-    #[test]
-    fn sharded_chain_detail_merges_to_exact_totals() {
-        // Four threads spread their per-rule bumps across the chain
-        // shards; the export-side merge must recover exact totals in
-        // stable order, and pinned mode (all recorders on shard 0)
-        // must report the same numbers.
-        for pinned in [false, true] {
-            let m = std::sync::Arc::new(Metrics::new());
-            m.set_detailed(true);
-            m.set_chain_shards_pinned(pinned);
-            let mut handles = Vec::new();
-            for _ in 0..4 {
-                let m = m.clone();
-                handles.push(std::thread::spawn(move || {
-                    for _ in 0..2500 {
-                        m.rule_evaluated(&ChainName::Input, 0);
-                        m.rule_evaluated(&ChainName::Input, 2);
-                        m.rule_hit(&ChainName::Input, 2);
-                        m.rule_throttled_slow(&ChainName::Output, 1);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(
-                m.chains_seen(),
-                vec![ChainName::Input, ChainName::Output],
-                "pinned={pinned}: export order is stable"
-            );
-            let input = m.chain_snapshot(&ChainName::Input).unwrap();
-            assert_eq!(input.evaluated, [10_000, 0, 10_000]);
-            assert_eq!(input.hits, [0, 0, 10_000]);
-            let output = m.chain_snapshot(&ChainName::Output).unwrap();
-            assert_eq!(output.throttled, [0, 10_000]);
-        }
     }
 
     #[test]
@@ -1378,7 +1091,6 @@ mod tests {
         m.set_detailed(true);
         m.bump(Counter::Invocations);
         m.bump_op(OpCounter::Invocations, LsmOperation::FileOpen);
-        m.rule_evaluated(&ChainName::User("side".into()), 1);
         m.observe_fetch(CtxField::ResourceId, m.timer(), false);
         m.observe_eval(m.timer());
         let text = m.render_prometheus();
@@ -1454,17 +1166,17 @@ mod tests {
         m.set_detailed(true);
         let signal = LsmOperation::ProcessSignalDelivery;
         let create = LsmOperation::FileCreate;
-        let ratelimit = |op, index| {
-            let (c, split) = (Counter::RatelimitThrottled, OpCounter::RatelimitThrottled);
-            m.bump_throttled(c, split, op, &ChainName::Input, index);
+        let ratelimit = |op| {
+            m.bump_split(
+                Counter::RatelimitThrottled,
+                OpCounter::RatelimitThrottled,
+                op,
+            )
         };
-        let quota = |op, index| {
-            let (c, split) = (Counter::QuotaExceeded, OpCounter::QuotaExceeded);
-            m.bump_throttled(c, split, op, &ChainName::Input, index);
-        };
-        ratelimit(signal, 0);
-        ratelimit(signal, 0);
-        quota(create, 1);
+        let quota = |op| m.bump_split(Counter::QuotaExceeded, OpCounter::QuotaExceeded, op);
+        ratelimit(signal);
+        ratelimit(signal);
+        quota(create);
         assert_eq!(m.ratelimit_throttled(), 2);
         assert_eq!(m.quota_exceeded(), 1);
         let split = |op| {
@@ -1473,21 +1185,17 @@ mod tests {
         };
         assert_eq!(split(signal), [2, 0]);
         assert_eq!(split(create), [0, 1]);
-        let snap = m.chain_snapshot(&ChainName::Input).unwrap();
-        assert_eq!(snap.throttled, vec![2, 1]);
         let text = m.render_prometheus();
         assert!(text.contains("pf_ratelimit_op_throttled_total{op=\"PROCESS_SIGNAL_DELIVERY\"} 2"));
         assert!(text.contains("pf_quota_op_exceeded_total{op=\"FILE_CREATE\"} 1"));
-        assert!(text.contains("pf_rule_throttled_total{chain=\"input\",rule=\"0\"} 2"));
         m.reset();
         assert_eq!(m.ratelimit_throttled(), 0);
         assert_eq!(split(signal), [0, 0]);
         // The always-on totals record even with the detail layer off.
         m.set_detailed(false);
-        quota(create, 0);
+        quota(create);
         assert_eq!(m.quota_exceeded(), 1);
         assert_eq!(split(create), [0, 0]);
-        assert!(m.chain_snapshot(&ChainName::Input).is_none());
     }
 
     /// A field's detail counters export together once any of them moved,
@@ -1526,16 +1234,12 @@ mod tests {
         m.bump(Counter::Invocations);
         m.bump(Counter::DefaultAllows);
         m.bump_op(OpCounter::Invocations, LsmOperation::SocketBind);
-        m.rule_evaluated(&ChainName::Input, 0);
         let json = m.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"invocations\":1"));
         assert!(json.contains("\"default_allows\":1"));
         assert!(json.contains("\"ops\":{\"SOCKET_BIND\":1}"));
         assert!(json.contains("\"vcache_op_hits\":{}"));
-        assert!(
-            json.contains("\"input\":[{\"rule\":0,\"evaluated\":1,\"hits\":0,\"throttled\":0}]")
-        );
         assert!(json.contains("\"eval_latency_ns\""));
     }
 

@@ -219,10 +219,13 @@ impl Slot {
 /// rule. Every snapshot that carries the rule shares its `Arc<Rule>`,
 /// and a reload that re-submits the rule verbatim adopts that `Arc`
 /// (see `snapshot.rs`), which is what lets bucket state survive hot
-/// reloads.
+/// reloads. The cell also counts the accesses the rule's budget
+/// rejected — the rule's `throttled` counter, which only a throttle
+/// rule can move — so it follows the rule the same way.
 #[derive(Debug)]
 pub struct ThrottleCell {
     slots: [Slot; SLOTS],
+    rejected: AtomicU64,
 }
 
 impl Default for ThrottleCell {
@@ -262,7 +265,17 @@ impl ThrottleCell {
     pub fn new() -> Self {
         ThrottleCell {
             slots: std::array::from_fn(|_| Slot::new()),
+            rejected: AtomicU64::new(0),
         }
+    }
+
+    /// Accesses the rule's budget rejected.
+    pub fn rejected(&self) -> u64 {
+        self.rejected.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn bump_rejected(&self) {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Finds or claims the slot for `key`, falling back to the shared

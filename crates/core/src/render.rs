@@ -12,10 +12,10 @@ use crate::engine::ProcessFirewall;
 /// bypasses it), keyed per object when a rule reads the resource, or
 /// keyed per label class.
 ///
-/// The `evals` column comes from the metrics registry's per-rule
-/// counters and stays zero unless detailed metrics are enabled
-/// ([`crate::metrics::Metrics::set_detailed`]); the `hits` column is the
-/// rule's own always-on counter.
+/// Both columns are the rule's own counters, so they follow the rule
+/// across reloads. `evals` counts only while detailed metrics are
+/// enabled ([`crate::metrics::Metrics::set_detailed`]); `hits` is
+/// always on.
 ///
 /// # Examples
 ///
@@ -46,15 +46,11 @@ pub fn render_rules(pf: &ProcessFirewall) -> String {
             policy,
             rules.len()
         );
-        let snap = pf.metrics().chain_snapshot(chain);
         for (i, rule) in rules.iter().enumerate() {
-            let evals = snap
-                .as_ref()
-                .and_then(|s| s.evaluated.get(i).copied())
-                .unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  [{i:>3}] evals={evals:<8} hits={:<8} {}",
+                "  [{i:>3}] evals={:<8} hits={:<8} {}",
+                rule.evaluated(),
                 rule.hits(),
                 rule.text
             );

@@ -3,9 +3,11 @@
 //! A [`Rule`] is parsed once and then shared: chains hold `Arc<Rule>`,
 //! published snapshots share the rules they have in common, and a
 //! denial's attribution names the rule itself. What the rule *says* is
-//! immutable; what it *has seen* — its hit counter and, for
+//! immutable; what it *has seen* — its `evaluated`, `hits` and
+//! `throttled` counters (the `pftables -L -v` columns) and, for
 //! RATELIMIT/QUOTA targets, its token buckets — lives inside it as
-//! atomics and so follows the rule's identity across generations.
+//! atomics and so follows the rule's identity across generations. So
+//! does its [`Rule::key`], the number decision events name it by.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -287,11 +289,11 @@ impl Target {
 /// Rules are shared values: chains hold them as `Arc<Rule>`, and every
 /// snapshot generation that carries a rule shares the one allocation
 /// (see `snapshot.rs`). A rule therefore has no `Clone` — its live state
-/// (the hit counter and throttle buckets) belongs to its identity, and
-/// a reload that re-submits the line verbatim adopts the published
-/// `Arc` instead of copying it. The hit counter is a relaxed atomic so
-/// concurrently evaluating tasks can bump it through that shared
-/// reference, and equality ignores it — two rules are the same rule
+/// (key, counters and throttle buckets) belongs to its identity, and a
+/// reload that re-submits the line verbatim adopts the published `Arc`
+/// instead of copying it. The counters are relaxed atomics so
+/// concurrently evaluating tasks can bump them through that shared
+/// reference, and equality ignores them — two rules are the same rule
 /// regardless of how often they have fired.
 #[derive(Debug)]
 pub struct Rule {
@@ -307,6 +309,10 @@ pub struct Rule {
     pub ctx_policy: Option<CtxPolicy>,
     /// The original rule text (for display, deletion, and logs).
     pub text: String,
+    /// Nonzero and distinct per rule; see [`Rule::key`].
+    key: u64,
+    /// Times this rule's match evaluation started (detail layer).
+    evaluated: AtomicU64,
     /// Times this rule's target fired (match + modules all passed).
     hits: AtomicU64,
     /// Cacheability analysis, match side: `true` when any match module
@@ -318,9 +324,10 @@ pub struct Rule {
     /// effects (STATE writes, LOG, TRACE, throttle-state consumption)
     /// that a cached verdict would fail to replay.
     pub(crate) vc_impure_target: bool,
-    /// Throttle state for RATELIMIT/QUOTA targets; `None` otherwise.
-    /// Boxed so the 1 KB table costs only throttle rules, and ignored
-    /// by equality — like `hits`, state is not part of what a rule says.
+    /// Throttle state for RATELIMIT/QUOTA targets, with the rule's
+    /// `throttled` count; `None` otherwise. Boxed so the 1 KB table
+    /// costs only throttle rules, and ignored by equality — like the
+    /// counters, state is not part of what a rule says.
     throttle: Option<Box<ThrottleCell>>,
 }
 
@@ -337,8 +344,8 @@ impl PartialEq for Rule {
 impl Eq for Rule {}
 
 impl Rule {
-    /// Creates a rule with a zeroed hit counter and no `--ctx-missing`
-    /// override.
+    /// Creates a rule with a fresh key, zeroed counters and no
+    /// `--ctx-missing` override.
     pub fn new(
         def: DefaultMatches,
         matches: Vec<MatchModule>,
@@ -356,12 +363,15 @@ impl Rule {
                 | Target::Quota { .. }
         );
         let throttle = target.is_throttle().then(Box::default);
+        static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
         Rule {
             def,
             matches,
             target,
             ctx_policy: None,
             text,
+            key: NEXT_KEY.fetch_add(1, Ordering::Relaxed),
+            evaluated: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             vc_impure_match,
             vc_impure_target,
@@ -369,8 +379,9 @@ impl Rule {
         }
     }
 
-    /// The throttle state cell backing a RATELIMIT/QUOTA target.
-    pub(crate) fn throttle_cell(&self) -> Option<&ThrottleCell> {
+    /// The throttle state cell backing a RATELIMIT/QUOTA target: its
+    /// live bucket occupancy is what the exporters report.
+    pub fn throttle_cell(&self) -> Option<&ThrottleCell> {
         self.throttle.as_deref()
     }
 
@@ -400,9 +411,34 @@ impl Rule {
         self.def.entrypoint().is_some()
     }
 
+    /// The rule's key: nonzero, drawn from a process-wide counter when
+    /// the rule is created, and distinct from every other rule's. A
+    /// rule kept across reloads keeps it, so a
+    /// [`crate::events::DecisionEvent::rule_key`] names the rule
+    /// wherever later reloads move it.
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+
+    /// Times this rule's match evaluation started while the detail
+    /// layer recorded ([`crate::metrics::Metrics::set_detailed`]).
+    pub fn evaluated(&self) -> u64 {
+        self.evaluated.load(Ordering::Relaxed)
+    }
+
     /// Times this rule matched and its target ran.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Times this rule's RATELIMIT/QUOTA budget rejected an access
+    /// (kept in its [`ThrottleCell`]; always 0 for other rules).
+    pub fn throttled(&self) -> u64 {
+        self.throttle.as_deref().map_or(0, ThrottleCell::rejected)
+    }
+
+    pub(crate) fn bump_evaluated(&self) {
+        self.evaluated.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn bump_hits(&self) {
@@ -512,6 +548,22 @@ mod tests {
             .vc_impure_match,
             "COMPARE over non-key context is impure"
         );
+    }
+
+    #[test]
+    fn rule_keys_are_nonzero_and_distinct() {
+        let rule = || {
+            Rule::new(
+                DefaultMatches::default(),
+                vec![],
+                Target::Drop,
+                String::new(),
+            )
+        };
+        let (a, b) = (rule(), rule());
+        assert_eq!(a, b, "equal rules…");
+        assert_ne!(a.key(), b.key(), "…are still distinct rules");
+        assert!(a.key() != 0 && b.key() != 0);
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn hostile_world(env: &mut Env) -> ProcessFirewall {
     .unwrap();
     fw.set_sampling(SamplingMode::Always);
     // One granted walk through the hostile chain: creates a live bucket
-    // slot (occupancy rows) and per-chain rule counters.
+    // slot (occupancy rows) and nonzero rule counters (per-rule rows).
     let d = fw.evaluate(env, LsmOperation::FileOpen);
     assert_eq!(d.verdict, Verdict::Allow);
     fw
@@ -138,6 +138,12 @@ fn prometheus_export_escapes_hostile_chain_names() {
     assert!(
         text.contains("pf_throttle_occupancy{chain=\"ev\\\"il\\\\cha\\nin\""),
         "occupancy label must escape quote, backslash, and newline"
+    );
+    // So must the per-rule rows, which the same snapshot walk renders.
+    assert!(
+        text.lines()
+            .any(|l| l == "pf_rule_evaluated_total{chain=\"ev\\\"il\\\\cha\\nin\",rule=\"0\"} 1"),
+        "per-rule label must escape quote, backslash, and newline"
     );
     // The raw (unescaped) name must appear nowhere: a raw newline in a
     // label would split a metric line in half.

@@ -18,17 +18,16 @@
 //!    collector loses the oldest records to overwrite — the buffered
 //!    count never exceeds the configured capacity, no matter how many
 //!    records are emitted (the old sink grew without bound).
-//! 3. **Sharded chain-detail parity.** The per-rule counter maps are
-//!    sharded per recording thread and merged on export; the merged
-//!    view from a multi-threaded run is identical to the pinned
-//!    (single-lock) view of the same traffic.
+//! 3. **Exact per-rule detail under concurrency.** Each rule counts its
+//!    own `evaluated` scans in a relaxed atomic; with many shard threads
+//!    scanning the same shared rules, the per-rule counts still sum to
+//!    exactly the rise in the engine-wide `rules_evaluated` total, which
+//!    the walk bumps independently.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use process_firewall::firewall::{
-    ChainSnapshot, EvalEnv, ObjectInfo, SamplingMode, SignalInfo, TaskSession,
-};
+use process_firewall::firewall::{EvalEnv, ObjectInfo, SamplingMode, SignalInfo, TaskSession};
 use process_firewall::prelude::*;
 use process_firewall::types::{
     DeviceId, Gid, InodeNum, Interner, Mode, ProgramId, ResourceId, SecId, Uid,
@@ -406,44 +405,37 @@ fn log_sink_memory_bounded_under_sustained_flood() {
     assert!(!d2.gap);
 }
 
-/// Identical traffic recorded through pinned (single-lock) and sharded
-/// per-rule counter maps must export identically: same chains, same
-/// per-rule tallies, stable order.
+/// Four shard threads scan the same shared rules with the detail layer
+/// on throughout and no reload: every scan bumps the engine-wide
+/// `rules_evaluated` total and the scanned rule's own `evaluated`, so
+/// the per-rule counts over the live base sum to exactly the total's
+/// rise — no lost or double-counted update on either side.
 #[test]
-fn sharded_chain_detail_export_matches_pinned() {
-    fn run(pinned: bool) -> Vec<(String, ChainSnapshot)> {
-        let (mut shards, shared, residents) = build_shards();
-        shared.metrics().set_detailed(true);
-        shared.metrics().set_chain_shards_pinned(pinned);
+fn per_rule_detail_sums_to_the_total_under_concurrency() {
+    let (mut shards, shared, residents) = build_shards();
+    let m = shared.metrics();
+    m.set_detailed(true);
+    let evaluated = || -> u64 {
+        let base = shared.base();
+        let rules = base.iter().flat_map(|(_, rules)| rules.iter());
+        rules.map(|r| r.evaluated()).sum()
+    };
+    let (total0, rules0) = (m.rules_evaluated(), evaluated());
 
-        let start = Barrier::new(SHARDS);
-        std::thread::scope(|s| {
-            for (k, pids) in shards.iter_mut().zip(&residents) {
-                let start = &start;
-                s.spawn(move || {
-                    start.wait();
-                    for _ in 0..20 {
-                        drive_shard(k, pids);
-                    }
-                });
-            }
-        });
+    let start = Barrier::new(SHARDS);
+    std::thread::scope(|s| {
+        for (k, pids) in shards.iter_mut().zip(&residents) {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..20 {
+                    drive_shard(k, pids);
+                }
+            });
+        }
+    });
 
-        let m = shared.metrics();
-        m.chains_seen()
-            .into_iter()
-            .map(|c| {
-                let snap = m.chain_snapshot(&c).expect("seen chain has a snapshot");
-                (c.name(), snap)
-            })
-            .collect()
-    }
-
-    let sharded = run(false);
-    let pinned = run(true);
-    assert!(!sharded.is_empty(), "the traffic recorded per-rule detail");
-    assert_eq!(
-        sharded, pinned,
-        "merged sharded export must equal the single-lock export"
-    );
+    let rise = m.rules_evaluated() - total0;
+    assert!(rise > 0, "the traffic scanned rules");
+    assert_eq!(evaluated() - rules0, rise);
 }

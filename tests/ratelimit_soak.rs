@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use process_firewall::firewall::{
-    EvalEnv, ObjectInfo, OptLevel, ProcessFirewall, SignalInfo, TaskSession,
+    ChainName, EvalEnv, ObjectInfo, OptLevel, ProcessFirewall, SignalInfo, TaskSession,
 };
 use process_firewall::mac::{ubuntu_mini, MacPolicy};
 use process_firewall::types::{
@@ -204,9 +204,15 @@ fn shared_bucket_under_8_thread_contention_grants_exactly_burst() {
         "phase 2: refill caps at burst; exactly one more burst granted"
     );
 
-    // The always-on counter saw every denial.
+    // The always-on counter saw every denial, and so did the rule's
+    // own, which the racing verbatim reloads kept like its bucket.
     let total = (WORKERS * INVOCATIONS_PER_WORKER * 2) as u64;
     assert_eq!(fw.metrics().ratelimit_throttled(), total - 2 * BURST);
+    let base = fw.base();
+    assert_eq!(
+        base.chain(&ChainName::Input)[0].throttled(),
+        total - 2 * BURST
+    );
 }
 
 #[test]
