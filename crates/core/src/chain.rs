@@ -5,12 +5,12 @@
 //! hand; the Process Firewall builds chains *automatically* from rule
 //! entrypoints (Section 4.3). The snapshot compile runs the input chain
 //! through the one builder in `compile.rs` twice: an entrypoint-only
-//! table (one bucket per entrypoint chain, the generic rules in the
-//! wildcard) for EPTSPC, and the three-axis (op, label, entrypoint)
-//! table for RULESETC. Partitioning preserves verdicts **only if
+//! table (one leaf per entrypoint chain, the generic rules in the
+//! wildcard) for EPTSPC, and the three-level (op → label → entrypoint)
+//! tree for RULESETC. Partitioning preserves verdicts **only if
 //! install order is preserved**: ACCEPT, RETURN, LOG, and STATE rules
 //! make outcomes order-dependent, so the engine walks the selected
-//! buckets as a merge over ascending install indices, never one bucket
+//! leaves as a merge over ascending install indices, never one leaf
 //! after the other. The partition changes how many rules the engine
 //! must look at, not the order in which the surviving ones run.
 //!
@@ -107,11 +107,11 @@ pub struct RuleBase {
     /// verdict key must carry it. Computed in the same jump-graph walk
     /// as `statically_cacheable`.
     keys_resource: bool,
-    /// RULESETC artifact: the input chain compiled into per-(op, label,
-    /// entrypoint) dispatch buckets (see `compile.rs`).
+    /// RULESETC artifact: the input chain compiled into the (op → label
+    /// → entrypoint) dispatch tree (see `compile.rs`).
     input_dispatch: CompiledDispatch,
     /// EPTSPC artifact: the same compile on the entrypoint axis only —
-    /// one bucket per entrypoint chain, the generic rules in the
+    /// one leaf per entrypoint chain, the generic rules in the
     /// wildcard. Also the RULESETC fallback when the label is unreadable.
     input_ept_dispatch: CompiledDispatch,
 }
@@ -226,7 +226,7 @@ mod tests {
     use crate::config::PfConfig;
     use crate::rule::{DefaultMatches, Target};
     use crate::snapshot::{RulesetDraft, RulesetSnapshot, SharedRuleset};
-    use pf_types::{InternId, PfResult};
+    use pf_types::{InternId, LsmOperation, PfResult};
 
     fn rule(text: &str, ept: Option<(u32, u64)>) -> Rule {
         Rule::new(
@@ -310,7 +310,11 @@ mod tests {
         let rb = publish(&shared, |d| d.delete(&ChainName::Input, "b"));
         assert_eq!(rb.len(), 1);
         assert_eq!(rb.input_ept_dispatch().bucket_count(), 0);
-        assert!(!rb.input_ept_dispatch().has_ept_buckets());
+        let by_label = rb
+            .input_ept_dispatch()
+            .by_op(LsmOperation::FileOpen)
+            .by_label(None);
+        assert!(!by_label.indexes_entrypoints());
         assert!(shared
             .update(|d| d.delete(&ChainName::Input, "zzz"))
             .is_err());

@@ -1,28 +1,39 @@
-//! Snapshot-time compilation of the input chain into indexed dispatch
-//! tables — the one index behind both EPTSPC and RULESETC.
+//! Snapshot-time compilation of the input chain into a dispatch tree —
+//! the one index behind both EPTSPC and RULESETC.
 //!
-//! Every input rule is placed along up to **three** axes — LSM
-//! operation (`-o`), object label (`-d`), and entrypoint (`-p`/`-i`) —
-//! so a lookup touches only the rules whose selectors could possibly
-//! accept the invocation at hand. A rule whose selector along an axis
-//! is absent (or too broad to index) lands in that axis's *wildcard*
-//! half; a lookup merges the exact and wildcard halves of every axis.
+//! Every input rule is placed along three axes, in the order a hook
+//! descends them: LSM operation (`-o`), object label (`-d`), and
+//! entrypoint (`-p`/`-i`). A rule whose selector along an axis is
+//! absent (or too broad to index) lands in that level's *wildcard*
+//! node. The tree has three levels:
 //!
-//! [`CompiledDispatch::compile`] builds the three-axis RULESETC table.
-//! [`CompiledDispatch::compile_entrypoint_only`] builds the same table
-//! with the operation and label axes left out, so every rule's `-o`/`-d`
-//! sits in the wildcard: that is exactly the paper's automatic
-//! entrypoint chains (Section 4.3). Each concrete bucket is one
-//! entrypoint chain and the `(*,*,*)` bucket is the generic rules, so
-//! EPTSPC and RULESETC run the same lookup and the same walk.
+//! 1. one node per operation, plus the op-wildcard node;
+//! 2. in each, a label map plus the label-wildcard node;
+//! 3. in each of those, an entrypoint map plus the entrypoint-wildcard
+//!    index list. These are the leaves.
+//!
+//! A lookup descends one level at a time (`by_op`, `by_label`,
+//! `by_entrypoint`). Before each step it asks whether the nodes reached
+//! so far index the next axis at all (`indexes_labels`,
+//! `indexes_entrypoints`); when none does, the value cannot exclude a
+//! rule, so the engine skips that context fetch and its failure modes.
+//! A hook reaches at most 2 operation nodes, 4 label nodes and 8 leaves.
+//!
+//! [`CompiledDispatch::compile`] builds the three-axis RULESETC tree.
+//! [`CompiledDispatch::compile_entrypoint_only`] builds the same tree
+//! with only its wildcard path filled, so every rule's `-o`/`-d` sits in
+//! a wildcard: that is exactly the paper's automatic entrypoint chains
+//! (Section 4.3). Each entrypoint leaf is one entrypoint chain and the
+//! `(*,*,*)` leaf is the generic rules, so EPTSPC and RULESETC run the
+//! same lookup and the same walk.
 //!
 //! The soundness argument is Section 4.3's: a rule excluded from a
 //! lookup is one whose indexed selector is *known not to match* the
 //! fetched context value, so skipping it cannot change the verdict —
-//! provided install order is preserved across the merged buckets, which
+//! provided install order is preserved across the merged leaves, which
 //! [`MergeDispatch`] guarantees by walking the (sorted, pairwise
 //! disjoint) index vectors as an ascending k-way merge. Fetch
-//! *failures* never consult a concrete bucket (the engine falls back to
+//! *failures* never consult a concrete node (the engine falls back to
 //! the entrypoint-only table or the full chain; see `engine.rs`), so
 //! `--ctx-missing` policies keep their say.
 
@@ -35,23 +46,16 @@ use pf_types::{LsmOperation, ProgramId, SecId};
 use crate::rule::Rule;
 
 /// Label sets with more members than this are not fanned out into
-/// per-label buckets; the rule goes to the label-wildcard bucket
-/// instead. Keeps pathological `-d a,b,c,...` rules from multiplying
-/// the artifact size.
+/// per-label nodes; the rule goes to the label-wildcard node instead.
+/// Keeps pathological `-d a,b,c,...` rules from multiplying the
+/// artifact size.
 pub const MAX_LABEL_FANOUT: usize = 16;
 
-/// One dispatch key: `None` along an axis means "wildcard half".
-type DispatchKey = (
-    Option<LsmOperation>,
-    Option<SecId>,
-    Option<(ProgramId, u64)>,
-);
-
-/// Fixed-width multiplicative hash for [`DispatchKey`]s: a key is a
-/// handful of small integers, which SipHash would spend most of a
-/// lookup on. Unkeyed on purpose — lookups never insert, and only
-/// administrator-installed rules populate the map, so there is no
-/// attacker-chosen key set to flood it with.
+/// Fixed-width multiplicative hash for the tree's label and entrypoint
+/// keys: a key is one or two small integers, which SipHash would spend
+/// most of a lookup on. Unkeyed on purpose — lookups never insert, and
+/// only administrator-installed rules populate the maps, so there is no
+/// attacker-chosen key set to flood them with.
 #[derive(Default)]
 struct DispatchHasher(u64);
 
@@ -81,51 +85,91 @@ impl Hasher for DispatchHasher {
     }
 }
 
-/// The compiled artifact for one chain: rule indices bucketed by
-/// (operation, object label, entrypoint). Built once per snapshot
-/// compile; immutable and shared read-only afterwards.
+/// One level's map from an axis value to the node below it.
+type AxisMap<K, V> = HashMap<K, V, BuildHasherDefault<DispatchHasher>>;
+
+/// The compiled artifact for one chain: rule indices in a tree keyed by
+/// operation, then object label, then entrypoint. Built once per
+/// snapshot compile; immutable and shared read-only afterwards.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledDispatch {
-    /// Buckets with at least one concrete axis.
-    buckets: HashMap<DispatchKey, Vec<usize>, BuildHasherDefault<DispatchHasher>>,
-    /// The `(*,*,*)` bucket: rules no axis can exclude. Every lookup
-    /// walks it, so it lives outside the map and costs no probe.
-    wildcard: Vec<usize>,
-    /// `true` when at least one rule is bucketed under a concrete
-    /// operation; otherwise lookups skip the operation's exact half.
-    has_op_buckets: bool,
-    /// `true` when at least one rule is bucketed under a concrete
-    /// object label — the gate for eagerly fetching the label on
-    /// lookup. When `false` the label axis is pure wildcard and the
-    /// fetch (with its failure modes) is skipped entirely.
-    has_label_buckets: bool,
-    /// Same gate for the entrypoint axis: with no entrypoint-bound
-    /// rules, no lookup needs the stack unwind.
-    has_ept_buckets: bool,
+    /// The operation level for rules with `-o`, indexed by
+    /// `op as usize`. Left empty, with no allocation, when no rule is
+    /// placed by operation (the entrypoint-only table).
+    ops: Vec<OpNode>,
+    /// The op-wildcard node: rules without `-o`. Every hook reaches it.
+    any_op: OpNode,
+}
+
+/// One operation node: its rules by object label.
+#[derive(Debug, Clone, Default)]
+struct OpNode {
+    labels: AxisMap<SecId, LabelNode>,
+    /// Rules whose `-d` cannot exclude a label: absent, negated, empty
+    /// or oversize.
+    any_label: LabelNode,
+}
+
+/// One label node: its rules by entrypoint, in leaves of ascending
+/// rule indices.
+#[derive(Debug, Clone, Default)]
+struct LabelNode {
+    epts: AxisMap<(ProgramId, u64), Vec<usize>>,
+    /// Rules bound to no entrypoint.
+    any_ept: Vec<usize>,
+}
+
+impl OpNode {
+    fn is_empty(&self) -> bool {
+        self.labels.is_empty() && self.any_label.is_empty()
+    }
+
+    /// Non-empty leaves under this node.
+    fn leaves(&self) -> usize {
+        self.labels.values().map(LabelNode::leaves).sum::<usize>() + self.any_label.leaves()
+    }
+}
+
+impl LabelNode {
+    fn is_empty(&self) -> bool {
+        self.epts.is_empty() && self.any_ept.is_empty()
+    }
+
+    fn leaves(&self) -> usize {
+        self.epts.len() + usize::from(!self.any_ept.is_empty())
+    }
+
+    fn place(&mut self, ept: Option<(ProgramId, u64)>, index: usize) {
+        match ept {
+            Some(ept) => self.epts.entry(ept).or_default().push(index),
+            None => self.any_ept.push(index),
+        }
+    }
 }
 
 impl CompiledDispatch {
-    /// Compiles a chain's rules into the three-axis RULESETC index.
+    /// Compiles a chain's rules into the three-axis RULESETC tree.
     ///
-    /// Placement per rule and axis:
-    /// * **operation** — `-o OP` present → the `Some(op)` half, else
-    ///   wildcard. Infallible at lookup (the operation is the hook
-    ///   argument, never fetched).
+    /// Placement per rule and level:
+    /// * **operation** — `-o OP` present → the node of `OP`, else the
+    ///   op-wildcard node. Infallible at lookup (the operation is the
+    ///   hook argument, never fetched).
     /// * **label** — a *positive* `-d` set with 1..=[`MAX_LABEL_FANOUT`]
-    ///   members fans out into one bucket per member (the rule can only
-    ///   match an object carrying one of exactly those labels). Negated
-    ///   sets, oversize sets, and the degenerate empty positive set all
-    ///   go to the wildcard: exclusion must be provable, not probable.
+    ///   members fans out into one label node per member (the rule can
+    ///   only match an object carrying one of exactly those labels).
+    ///   Negated sets, oversize sets, and the degenerate empty positive
+    ///   set all go to the label wildcard: exclusion must be provable,
+    ///   not probable.
     /// * **entrypoint** — `-p BIN -i PC` (both halves) → the exact
-    ///   `(program, pc)` bucket, else wildcard.
+    ///   `(program, pc)` leaf, else the entrypoint wildcard.
     pub fn compile(rules: &[Arc<Rule>]) -> Self {
         Self::build(rules, true)
     }
 
     /// Compiles a chain's rules on the entrypoint axis only — the
     /// EPTSPC table, and the RULESETC fallback when the object label
-    /// cannot be read. One concrete bucket per entrypoint chain; the
-    /// wildcard holds the generic rules.
+    /// cannot be read. Only the wildcard path is filled: one leaf per
+    /// entrypoint chain, and the `(*,*,*)` leaf holds the generic rules.
     pub fn compile_entrypoint_only(rules: &[Arc<Rule>]) -> Self {
         Self::build(rules, false)
     }
@@ -135,108 +179,165 @@ impl CompiledDispatch {
         for (i, rule) in rules.iter().enumerate() {
             let ept = rule.def.entrypoint();
             if !all_axes {
-                this.place((None, None, ept), i);
+                this.any_op.any_label.place(ept, i);
                 continue;
             }
-            let op = rule.def.op;
+            let node = match rule.def.op {
+                Some(op) => {
+                    if this.ops.is_empty() {
+                        this.ops
+                            .resize_with(LsmOperation::ALL.len(), OpNode::default);
+                    }
+                    &mut this.ops[op as usize]
+                }
+                None => &mut this.any_op,
+            };
             match &rule.def.object {
                 Some(set)
                     if !set.is_negated()
                         && !set.raw_members().is_empty()
                         && set.raw_members().len() <= MAX_LABEL_FANOUT =>
                 {
-                    // Fan-out: one bucket per member label. The member
+                    // Fan-out: one label node per member. The member
                     // list is sorted and deduplicated (a LabelSet
                     // invariant), so each index lands in each member
-                    // bucket exactly once.
+                    // node exactly once.
                     for &sid in set.raw_members() {
-                        this.place((op, Some(sid), ept), i);
+                        node.labels.entry(sid).or_default().place(ept, i);
                     }
                 }
-                _ => this.place((op, None, ept), i),
+                _ => node.any_label.place(ept, i),
             }
         }
         this
     }
 
-    fn place(&mut self, key: DispatchKey, index: usize) {
-        self.has_op_buckets |= key.0.is_some();
-        self.has_label_buckets |= key.1.is_some();
-        self.has_ept_buckets |= key.2.is_some();
-        match key {
-            (None, None, None) => self.wildcard.push(index),
-            key => self.buckets.entry(key).or_default().push(index),
+    /// Number of non-empty leaves with at least one indexed axis (the
+    /// `(*,*,*)` leaf is not counted). On the entrypoint-only table this
+    /// is the number of entrypoint chains.
+    pub fn bucket_count(&self) -> usize {
+        let leaves = self.ops.iter().map(OpNode::leaves).sum::<usize>() + self.any_op.leaves();
+        leaves - usize::from(self.wildcard_len() > 0)
+    }
+
+    /// Number of rules in the `(*,*,*)` leaf. On the entrypoint-only
+    /// table these are the generic rules every invocation walks.
+    pub fn wildcard_len(&self) -> usize {
+        self.any_op.any_label.any_ept.len()
+    }
+
+    /// Level one: the operation nodes a hook of `op` reaches — the node
+    /// of `op` and the op-wildcard node, each only if it holds a rule.
+    #[inline]
+    pub(crate) fn by_op(&self, op: LsmOperation) -> ReachedOps<'_> {
+        let mut reached = ReachedOps {
+            nodes: [&self.any_op; 2],
+            n: 0,
+        };
+        if let Some(node) = self.ops.get(op as usize) {
+            reached.push(node);
+        }
+        reached.push(&self.any_op);
+        reached
+    }
+}
+
+/// The operation nodes one hook reached: at most 2, each non-empty.
+pub(crate) struct ReachedOps<'d> {
+    nodes: [&'d OpNode; 2],
+    n: usize,
+}
+
+impl<'d> ReachedOps<'d> {
+    #[inline]
+    fn push(&mut self, node: &'d OpNode) {
+        if !node.is_empty() {
+            self.nodes[self.n] = node;
+            self.n += 1;
         }
     }
 
-    /// Whether any rule is bucketed under a concrete object label.
+    /// Whether a reached node indexes object labels. When none does,
+    /// the label cannot exclude a rule and the lookup needs no label.
     #[inline]
-    pub fn has_label_buckets(&self) -> bool {
-        self.has_label_buckets
+    pub(crate) fn indexes_labels(&self) -> bool {
+        self.nodes[..self.n]
+            .iter()
+            .any(|node| !node.labels.is_empty())
     }
 
-    /// Whether any rule is bucketed under a concrete entrypoint.
-    #[inline]
-    pub fn has_ept_buckets(&self) -> bool {
-        self.has_ept_buckets
-    }
-
-    /// Number of distinct concrete buckets (the `(*,*,*)` bucket is
-    /// not counted). On the entrypoint-only table this is the number
-    /// of entrypoint chains.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Number of rules in the `(*,*,*)` bucket. On the entrypoint-only
-    /// table these are the generic rules every invocation walks.
-    pub fn wildcard_len(&self) -> usize {
-        self.wildcard.len()
-    }
-
-    /// The install-order walk over the buckets applicable to an
-    /// invocation whose fetched context is (`op`, `label`, `ept`).
+    /// Level two: the label nodes reached under the object label
+    /// `label`, merged from every reached operation node.
     ///
-    /// `label`/`ept` are `None` when the field was *benignly absent*
-    /// (`Fetched::Missing`) or its axis has no concrete buckets; then
-    /// only that axis's wildcard half is consulted — exactly the
-    /// Missing → NoMatch semantics of the indexed selectors. The up to
-    /// 2×2×2 combinations are pairwise disjoint by construction (each
-    /// rule lives in exactly one op half, one ept half, and — for any
-    /// single fetched label — at most one label bucket), so the merge
-    /// below never sees a duplicate index.
+    /// `None` when the object is benignly absent (`Fetched::Missing`)
+    /// or the label was not needed; then only the label-wildcard nodes
+    /// are reached — exactly the Missing → NoMatch semantics of a
+    /// positive `-d` selector.
     #[inline]
-    pub fn select(
-        &self,
-        op: LsmOperation,
-        label: Option<SecId>,
-        ept: Option<(ProgramId, u64)>,
-    ) -> MergeDispatch<'_> {
-        // An absent axis makes its exact and wildcard halves identical,
-        // so consult only the wildcard once.
-        let op_halves = [Some(op), None];
-        let op_halves = &op_halves[usize::from(!self.has_op_buckets)..];
-        let label_halves = [label, None];
-        let label_halves = &label_halves[usize::from(label.is_none())..];
-        let ept_halves = [ept, None];
-        let ept_halves = &ept_halves[usize::from(ept.is_none())..];
-        let mut merge = MergeDispatch::default();
-        for &op_key in op_halves {
-            for &label_key in label_halves {
-                for &ept_key in ept_halves {
-                    match (op_key, label_key, ept_key) {
-                        (None, None, None) => merge.push(&self.wildcard),
-                        key => merge.push(self.buckets.get(&key).map_or(&[], Vec::as_slice)),
-                    }
-                }
+    pub(crate) fn by_label(&self, label: Option<SecId>) -> ReachedLabels<'d> {
+        // Any node fills the unused slots; only the first `n` are read.
+        let filler: &'d OpNode = self.nodes[0];
+        let mut reached = ReachedLabels {
+            nodes: [&filler.any_label; 4],
+            n: 0,
+        };
+        for &node in &self.nodes[..self.n] {
+            if let Some(exact) = label.and_then(|sid| node.labels.get(&sid)) {
+                reached.push(exact);
             }
+            reached.push(&node.any_label);
+        }
+        reached
+    }
+}
+
+/// The label nodes one hook reached: at most 4, each non-empty.
+pub(crate) struct ReachedLabels<'d> {
+    nodes: [&'d LabelNode; 4],
+    n: usize,
+}
+
+impl<'d> ReachedLabels<'d> {
+    #[inline]
+    fn push(&mut self, node: &'d LabelNode) {
+        if !node.is_empty() {
+            self.nodes[self.n] = node;
+            self.n += 1;
+        }
+    }
+
+    /// Whether a reached node indexes entrypoints. When none does, the
+    /// entrypoint cannot exclude a rule and the lookup needs no unwind.
+    #[inline]
+    pub(crate) fn indexes_entrypoints(&self) -> bool {
+        self.nodes[..self.n]
+            .iter()
+            .any(|node| !node.epts.is_empty())
+    }
+
+    /// Level three: the install-order walk over the leaves reached under
+    /// the entrypoint `ept` (`None` when benignly absent or not needed:
+    /// only entrypoint-wildcard leaves).
+    ///
+    /// The up to 8 leaves are pairwise disjoint by construction: each
+    /// rule lives in exactly one operation node, in at most one label
+    /// node for any single label, and in exactly one leaf of that node.
+    /// So the merge below never sees a duplicate index.
+    #[inline]
+    pub(crate) fn by_entrypoint(&self, ept: Option<(ProgramId, u64)>) -> MergeDispatch<'d> {
+        let mut merge = MergeDispatch::default();
+        for &node in &self.nodes[..self.n] {
+            if let Some(exact) = ept.and_then(|ept| node.epts.get(&ept)) {
+                merge.push(exact);
+            }
+            merge.push(&node.any_ept);
         }
         merge
     }
 }
 
 /// Ascending k-way merge over up to 8 sorted, pairwise-disjoint index
-/// slices — the order-preserving walk over the selected buckets. Zero
+/// slices — the order-preserving walk over the reached leaves. Zero
 /// allocations: the state is the slices still to walk, each non-empty.
 #[derive(Default)]
 pub struct MergeDispatch<'s> {
@@ -245,7 +346,7 @@ pub struct MergeDispatch<'s> {
 }
 
 impl<'s> MergeDispatch<'s> {
-    /// Whether no index is left to walk: every selected bucket is empty.
+    /// Whether no index is left to walk: every reached leaf is empty.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.n == 0
@@ -284,6 +385,7 @@ mod tests {
     use super::*;
     use crate::rule::{DefaultMatches, Rule, Target};
     use pf_types::{InternId, LabelSet};
+    use proptest::prelude::*;
 
     fn rule(
         op: Option<LsmOperation>,
@@ -308,18 +410,26 @@ mod tests {
         LabelSet::of(members.iter().map(|&m| InternId(m)))
     }
 
+    /// The selection for a fully known context: the tree descended with
+    /// every axis supplied, whether or not a level needed it.
     fn lookup(
         d: &CompiledDispatch,
         op: LsmOperation,
         label: Option<u32>,
         ept: Option<(u32, u64)>,
     ) -> Vec<usize> {
-        d.select(
-            op,
-            label.map(InternId),
-            ept.map(|(p, pc)| (InternId(p), pc)),
-        )
-        .collect()
+        d.by_op(op)
+            .by_label(label.map(InternId))
+            .by_entrypoint(ept.map(|(p, pc)| (InternId(p), pc)))
+            .collect()
+    }
+
+    /// Whether a lookup for `op` reads the label, and (with `label`
+    /// read) whether it unwinds for the entrypoint.
+    fn fetches(d: &CompiledDispatch, op: LsmOperation, label: Option<u32>) -> (bool, bool) {
+        let ops = d.by_op(op);
+        let labels = ops.by_label(label.map(InternId));
+        (ops.indexes_labels(), labels.indexes_entrypoints())
     }
 
     #[test]
@@ -327,16 +437,16 @@ mod tests {
         let d = CompiledDispatch::compile(&[]);
         assert_eq!(d.bucket_count(), 0);
         assert_eq!(d.wildcard_len(), 0);
-        assert!(!d.has_label_buckets() && !d.has_ept_buckets());
+        assert_eq!(fetches(&d, LsmOperation::FileOpen, None), (false, false));
         assert!(lookup(&d, LsmOperation::FileOpen, None, None).is_empty());
     }
 
     #[test]
     fn merge_preserves_install_order_across_buckets() {
         let rules = vec![
-            rule(Some(LsmOperation::FileOpen), None, None), // 0: op bucket
-            rule(None, Some(labels(&[7])), None),           // 1: label bucket
-            rule(None, None, Some((3, 0x10))),              // 2: ept bucket
+            rule(Some(LsmOperation::FileOpen), None, None), // 0: op node
+            rule(None, Some(labels(&[7])), None),           // 1: label node
+            rule(None, None, Some((3, 0x10))),              // 2: ept leaf
             rule(None, None, None),                         // 3: triple wildcard
             rule(
                 Some(LsmOperation::FileOpen),
@@ -345,7 +455,7 @@ mod tests {
             ), // 4: exact
         ];
         let d = CompiledDispatch::compile(&rules);
-        assert!(d.has_label_buckets() && d.has_ept_buckets());
+        assert_eq!(fetches(&d, LsmOperation::FileOpen, Some(7)), (true, true));
         assert_eq!(d.wildcard_len(), 1, "only rule 3 is unindexable");
         // Everything applicable, merged back into install order.
         assert_eq!(
@@ -381,14 +491,14 @@ mod tests {
             rule(None, None, None),                                       // 5: generic
         ];
         let d = CompiledDispatch::compile_entrypoint_only(&rules);
-        // `-o`/`-d` never index: only the entrypoint axis is concrete.
-        assert!(!d.has_label_buckets());
-        assert!(d.has_ept_buckets());
-        assert_eq!(d.bucket_count(), 2, "one bucket per entrypoint chain");
+        assert_eq!(d.bucket_count(), 2, "one leaf per entrypoint chain");
         assert_eq!(d.wildcard_len(), 3, "the generic rules");
         // The lookup ignores the operation and label it is handed…
         for op in [LsmOperation::FileOpen, LsmOperation::SocketBind] {
+            // `-o`/`-d` never index: only the entrypoint axis is concrete.
+            assert!(d.ops.is_empty() && d.any_op.labels.is_empty());
             for label in [None, Some(7), Some(42)] {
+                assert_eq!(fetches(&d, op, label), (false, true));
                 // …and yields the old generic + bound merge order.
                 assert_eq!(lookup(&d, op, label, Some((1, 0x10))), vec![0, 1, 3, 4, 5]);
                 assert_eq!(lookup(&d, op, label, Some((2, 0x20))), vec![0, 2, 3, 5]);
@@ -432,11 +542,44 @@ mod tests {
             rule(None, Some(empty), None),
         ];
         let d = CompiledDispatch::compile(&rules);
-        assert!(!d.has_label_buckets(), "no provable exclusion → no fan-out");
+        assert!(
+            !d.by_op(LsmOperation::FileOpen).indexes_labels(),
+            "no provable exclusion → no fan-out"
+        );
         // Every lookup walks all three: none can be excluded by label.
         assert_eq!(
             lookup(&d, LsmOperation::FileOpen, Some(7), None),
             vec![0, 1, 2]
+        );
+    }
+
+    #[test]
+    fn fetches_follow_the_nodes_reached() {
+        let rules = vec![
+            rule(
+                Some(LsmOperation::FileOpen),
+                Some(labels(&[7])),
+                Some((1, 0x10)),
+            ),
+            rule(Some(LsmOperation::FileOpen), Some(labels(&[9])), None),
+        ];
+        let d = CompiledDispatch::compile(&rules);
+        // No rule names DIR_SEARCH and every rule names an operation:
+        // the hook reaches no node and needs neither value.
+        assert_eq!(
+            fetches(&d, LsmOperation::DirSearch, Some(7)),
+            (false, false)
+        );
+        assert!(lookup(&d, LsmOperation::DirSearch, Some(7), Some((1, 0x10))).is_empty());
+        // FILE_OPEN indexes labels; only label 7's node indexes
+        // entrypoints, so label 9 (and no label at all) needs no unwind.
+        assert_eq!(fetches(&d, LsmOperation::FileOpen, Some(9)), (true, false));
+        assert_eq!(fetches(&d, LsmOperation::FileOpen, None), (true, false));
+        assert_eq!(fetches(&d, LsmOperation::FileOpen, Some(7)), (true, true));
+        assert_eq!(lookup(&d, LsmOperation::FileOpen, Some(9), None), vec![1]);
+        assert_eq!(
+            lookup(&d, LsmOperation::FileOpen, Some(7), Some((1, 0x10))),
+            vec![0]
         );
     }
 
@@ -453,5 +596,119 @@ mod tests {
         assert_eq!(merge(&[&a, &b, &c]), vec![0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(merge(&[&c]), vec![6, 7]);
         assert!(merge(&[]).is_empty());
+    }
+
+    // --- property: the tree against a brute-force filter of the chain ---
+
+    const OPS: [LsmOperation; 3] = [
+        LsmOperation::FileOpen,
+        LsmOperation::FileRead,
+        LsmOperation::DirSearch,
+    ];
+    const EPTS: [(u32, u64); 3] = [(1, 0x10), (1, 0x20), (2, 0x10)];
+
+    /// One generated rule, `(op, label kind, members, entrypoint)`:
+    /// * op 0–2 names `OPS[op]`, 3 is no `-o`;
+    /// * label kind 0 is no `-d`, 1–2 a positive set of `members`
+    ///   (empty when they are), 3 the negated set, 4 an oversize set;
+    /// * entrypoint 0–2 binds `EPTS[e]`, 3 is `-p` without `-i`, 4–5
+    ///   leave the rule unbound.
+    fn spec_rule(&(op, kind, ref members, ept): &(usize, u8, Vec<u32>, usize)) -> Arc<Rule> {
+        let object = match kind {
+            0 => None,
+            1 | 2 => Some(labels(members)),
+            3 => Some(labels(members).negated()),
+            _ => Some(labels(&(0..=MAX_LABEL_FANOUT as u32).collect::<Vec<_>>())),
+        };
+        Arc::new(Rule::new(
+            DefaultMatches {
+                op: OPS.get(op).copied(),
+                object,
+                program: EPTS
+                    .get(ept)
+                    .map(|e| e.0)
+                    .or((ept == 3).then_some(1))
+                    .map(InternId),
+                entrypoint_pc: EPTS.get(ept).map(|e| e.1),
+                ..Default::default()
+            },
+            vec![],
+            Target::Drop,
+            String::new(),
+        ))
+    }
+
+    /// Whether `-d` is an exclusion the tree may index: a positive,
+    /// non-empty set small enough to fan out.
+    fn label_indexed(rule: &Rule) -> bool {
+        rule.def.object.as_ref().is_some_and(|set| {
+            !set.is_negated() && (1..=MAX_LABEL_FANOUT).contains(&set.raw_members().len())
+        })
+    }
+
+    /// Whether the rule's indexed `-d` admits `label`, by the selector's
+    /// own membership test (`None`: no object, so a positive set fails).
+    fn label_admits(rule: &Rule, label: Option<SecId>) -> bool {
+        !label_indexed(rule) || label.is_some_and(|l| rule.def.object.as_ref().unwrap().contains(l))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn tree_selection_matches_brute_force(
+            specs in prop::collection::vec(
+                (0usize..4, 0u8..5, prop::collection::vec(0u32..5, 0..3), 0usize..6),
+                0..24,
+            ),
+            probes in prop::collection::vec(
+                (0usize..3, prop::option::of(0u32..6), prop::option::of(0usize..3)),
+                1..8,
+            ),
+        ) {
+            let rules: Vec<Arc<Rule>> = specs.iter().map(spec_rule).collect();
+            let d = CompiledDispatch::compile(&rules);
+            for &probe in &probes {
+                let op = OPS[probe.0];
+                let label = probe.1.map(InternId);
+                let ept = probe.2.map(|e| (InternId(EPTS[e].0), EPTS[e].1));
+                // Descend like the engine: a value no reached node
+                // indexes is never fetched.
+                let ops = d.by_op(op);
+                let read_label = ops.indexes_labels();
+                let read = label.filter(|_| read_label);
+                let reached = ops.by_label(read);
+                let unwind = reached.indexes_entrypoints();
+                let got: Vec<usize> = reached.by_entrypoint(ept.filter(|_| unwind)).collect();
+                // Brute force over the whole chain, with every axis known.
+                let op_admits = |r: &Rule| r.def.op.is_none_or(|o| o == op);
+                let want: Vec<usize> = (0..rules.len())
+                    .filter(|&i| {
+                        let r = &rules[i];
+                        op_admits(r)
+                            && label_admits(r, label)
+                            && r.def.entrypoint().is_none_or(|e| Some(e) == ept)
+                    })
+                    .collect();
+                prop_assert_eq!(&got, &want, "probe {:?}", probe);
+                // A skipped fetch never hides a rule indexed on its axis…
+                if !read_label {
+                    let indexed = want.iter().any(|&i| label_indexed(&rules[i]));
+                    prop_assert!(!indexed, "probe {:?}", probe);
+                }
+                if !unwind {
+                    let bound = want.iter().any(|&i| rules[i].def.entrypoint().is_some());
+                    prop_assert!(!bound, "probe {:?}", probe);
+                }
+                // …and a fetch is made only for a rule the levels above
+                // left in the selection.
+                let indexed = rules.iter().any(|r| op_admits(r) && label_indexed(r));
+                prop_assert_eq!(read_label, indexed, "probe {:?}", probe);
+                let bound = rules
+                    .iter()
+                    .any(|r| op_admits(r) && label_admits(r, read) && r.def.entrypoint().is_some());
+                prop_assert_eq!(unwind, bound, "probe {:?}", probe);
+            }
+        }
     }
 }

@@ -926,7 +926,7 @@ enum Selection<'a> {
     /// A whole chain in install order: `syscallbegin`, the input chain
     /// below EPTSPC, and the degraded walk after a failed unwind.
     Chain(ChainName, &'a [Arc<Rule>]),
-    /// The buckets a dispatch table selected from the input chain;
+    /// The leaves a dispatch tree selected from the input chain;
     /// `rulesetc` marks the three-axis table, whose walks the
     /// `rulesetc_dispatch` counter counts.
     Dispatch {
@@ -1004,18 +1004,18 @@ impl<'a> Invocation<'a> {
     /// The one indexed selection from the input chain, over either
     /// compiled table: the three-axis one at RULESETC (`rulesetc` set,
     /// which also gates the `rulesetc_*` counters) or the
-    /// entrypoint-only one at EPTSPC and VCACHE. Only the buckets whose
-    /// indexed selectors could accept this invocation are selected, to
-    /// be merged back into install order (see `compile.rs` for the
+    /// entrypoint-only one at EPTSPC and VCACHE. The lookup descends the
+    /// table's tree (operation, then label, then entrypoint) and selects
+    /// the leaves whose indexed selectors could accept this invocation,
+    /// to be merged back into install order (see `compile.rs` for the
     /// soundness argument).
     ///
-    /// Fetch failures never consult a concrete bucket. A failed
-    /// entrypoint unwind degrades to the full-chain walk, so every
-    /// bound rule's `--ctx-missing` policy gets its say. A failed
-    /// object fetch (only the three-axis table has label buckets)
-    /// re-selects on the entrypoint-only table: the label axis is
-    /// dropped and the rules that need the label arbitrate through
-    /// `--ctx-missing` as usual.
+    /// Fetch failures never consult a concrete node. A failed object
+    /// fetch (only the three-axis table indexes labels) re-selects on
+    /// the entrypoint-only table: the label axis is dropped and the
+    /// rules that need the label arbitrate through `--ctx-missing` as
+    /// usual. A failed entrypoint unwind degrades to the full-chain
+    /// walk, so every bound rule's `--ctx-missing` policy gets its say.
     fn select_input(
         &mut self,
         dispatch: &'a CompiledDispatch,
@@ -1023,19 +1023,40 @@ impl<'a> Invocation<'a> {
         pkt: &mut Packet<'_>,
         op: LsmOperation,
     ) -> Selection<'a> {
-        // Each constrained axis is resolved *before* traversal:
+        // Each level's value is resolved *before* traversal:
         // interleaved ACCEPT/RETURN/LOG/STATE rules make relative order
-        // verdict-relevant, so the applicable buckets must be known up
-        // front to merge them. Unconstrained axes skip the fetch — and
-        // its failure modes — entirely.
-        let ept = if dispatch.has_ept_buckets() {
+        // verdict-relevant, so the applicable leaves must be known up
+        // front to merge them. A value that no node reached so far
+        // indexes cannot exclude a rule, so its fetch — and its failure
+        // modes — is skipped entirely.
+        let ops = dispatch.by_op(op);
+        let label = if ops.indexes_labels() {
+            match pkt.object_sid_value(self.metrics) {
+                Fetched::Value(sid) => Some(sid),
+                // No object, no label: only label-wildcard nodes apply
+                // (a positive `-d` set cannot match, exactly the
+                // selector's own Missing → NoMatch semantics).
+                Fetched::Missing => None,
+                Fetched::Failed(_) => {
+                    // Not `degraded` by itself: the entrypoint-only
+                    // table unwinds only if its own leaves need it.
+                    self.metrics.bump(Counter::RulesetcFallback);
+                    let eptspc = self.snap.input_ept_dispatch();
+                    return self.select_input(eptspc, false, pkt, op);
+                }
+            }
+        } else {
+            None
+        };
+        let labels = ops.by_label(label);
+        let ept = if labels.indexes_entrypoints() {
             match pkt.entrypoint_value(self.metrics) {
                 Fetched::Value(ept) => Some(ept),
                 // Benign absence (e.g. a sanitized malformed stack,
-                // Section 4.4): only entrypoint-wildcard buckets apply.
+                // Section 4.4): only entrypoint-wildcard leaves apply.
                 Fetched::Missing => None,
                 Fetched::Failed(_) => {
-                    // Without a trusted entrypoint no bucket can be
+                    // Without a trusted entrypoint no leaf can be
                     // excluded: walk the whole chain in install order.
                     self.degraded = true;
                     if rulesetc {
@@ -1047,26 +1068,8 @@ impl<'a> Invocation<'a> {
         } else {
             None
         };
-        let label = if dispatch.has_label_buckets() {
-            match pkt.object_sid_value(self.metrics) {
-                Fetched::Value(sid) => Some(sid),
-                // No object, no label: only label-wildcard buckets
-                // apply (a positive `-d` set cannot match, exactly the
-                // selector's own Missing → NoMatch semantics).
-                Fetched::Missing => None,
-                Fetched::Failed(_) => {
-                    // The entrypoint-only table re-reads the memoized
-                    // unwind. Not `degraded` by itself.
-                    self.metrics.bump(Counter::RulesetcFallback);
-                    let eptspc = self.snap.input_ept_dispatch();
-                    return self.select_input(eptspc, false, pkt, op);
-                }
-            }
-        } else {
-            None
-        };
         Selection::Dispatch {
-            merge: dispatch.select(op, label, ept),
+            merge: labels.by_entrypoint(ept),
             rulesetc,
         }
     }
@@ -2927,6 +2930,72 @@ mod tests {
             assert_eq!(pf.metrics().rulesetc_fallback(), fallbacks, "{level:?}");
             assert_eq!(pf.metrics().rulesetc_dispatch(), 0);
         }
+    }
+
+    /// Rule A needs the label and the entrypoint, rule B only the label.
+    /// B is an ACCEPT, so no LOG record unwinds. The stack sits at A's
+    /// entrypoint.
+    fn fetch_probe_base() -> (ProcessFirewall, MockEnv) {
+        let pf = ProcessFirewall::new(OptLevel::RulesetC);
+        let mut env = MockEnv::new();
+        install(
+            &pf,
+            &mut env,
+            "pftables -p /bin/victim -i 0x10 -o FILE_OPEN -d etc_t -j DROP",
+        );
+        install(&pf, &mut env, "pftables -o FILE_OPEN -d tmp_t -j ACCEPT");
+        env.stack = Some((env.programs.intern("/bin/victim"), 0x10));
+        (pf, env)
+    }
+
+    #[test]
+    fn selection_fetches_only_what_its_buckets_index() {
+        // Sessionless hooks, so no verdict key is built. The hooks that
+        // do not unwind run first: the mock's CONCACHE slots persist.
+        let (pf, env) = fetch_probe_base();
+        let m = pf.metrics();
+        // No rule names DIR_SEARCH: neither the label nor the unwind.
+        let mut env = env.with_object("etc_t", 6, 0);
+        let d = pf.evaluate(&mut env, LsmOperation::DirSearch);
+        assert_eq!(d.verdict, Verdict::Allow);
+        assert_eq!((env.unwind_count, m.ctx_fetches()), (0, 0));
+        // FILE_OPEN's node indexes labels; tmp_t's indexes no entrypoint.
+        let mut env = env.with_object("tmp_t", 5, 1000);
+        let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
+        assert_eq!((d.verdict, m.accepts()), (Verdict::Allow, 1), "B accepts");
+        assert_eq!((env.unwind_count, m.ctx_fetches()), (0, 1));
+        // etc_t's node indexes A's entrypoint: one unwind, and A drops.
+        let mut env = env.with_object("etc_t", 6, 0);
+        let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
+        assert_eq!(d.verdict, Verdict::Deny);
+        assert_eq!(dropped_at(&d), Some(("input", 0)));
+        assert_eq!(env.unwind_count, 1);
+    }
+
+    #[test]
+    fn failed_unwind_degrades_only_selections_that_need_the_entrypoint() {
+        let (pf, mut env) = fetch_probe_base();
+        env.fail_unwind = true;
+        let m = pf.metrics();
+        // Selects nothing, so it never unwinds: a plain allow.
+        let mut env = env.with_object("etc_t", 6, 0);
+        let d = pf.evaluate(&mut env, LsmOperation::DirSearch);
+        assert_eq!((d.verdict, d.degraded), (Verdict::Allow, false));
+        assert_eq!((m.rulesetc_fallback(), m.degraded_allows()), (0, 0));
+        // The label already excluded A: B's clean ACCEPT, not a
+        // fail-closed DROP by A.
+        let mut env = env.with_object("tmp_t", 5, 1000);
+        let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
+        assert_eq!((d.verdict, d.degraded), (Verdict::Allow, false));
+        assert_eq!((m.accepts(), m.rulesetc_fallback()), (1, 0));
+        // A's leaf needs the entrypoint: the whole chain walks, and A
+        // fails closed.
+        let mut env = env.with_object("etc_t", 6, 0);
+        let d = pf.evaluate(&mut env, LsmOperation::FileOpen);
+        assert_eq!((d.verdict, d.degraded), (Verdict::Deny, true));
+        assert_eq!(dropped_at(&d), Some(("input", 0)));
+        assert_eq!((m.rulesetc_fallback(), m.degraded_drops()), (1, 1));
+        assert_eq!(m.degraded_allows(), 0);
     }
 
     #[test]

@@ -37,10 +37,11 @@
 //! * [`vcache`] is the per-task verdict cache behind VCACHE: whole
 //!   traversal outcomes memoized by key context, guarded by the static
 //!   cacheability analysis in [`chain`]/[`rule`];
-//! * [`compile`] is the RULESETC dispatch compiler: per-(op, label,
-//!   entrypoint) bucket tables built at snapshot compile time, from
-//!   which each hook selects before the verdict cache is consulted,
-//!   walked as an order-preserving k-way merge;
+//! * [`compile`] is the RULESETC dispatch compiler: an (op → label →
+//!   entrypoint) tree built at snapshot compile time, which each hook
+//!   descends before the verdict cache is consulted, fetching only the
+//!   values the nodes it reached index, and walks as an
+//!   order-preserving k-way merge;
 //! * [`log`] is the LOG target's JSON record, consumed by `pf-rulegen`;
 //! * [`metrics`] is the observability registry: the counter table
 //!   (always-on totals, per-operation and per-field rows), latency

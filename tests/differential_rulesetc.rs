@@ -5,7 +5,8 @@
 //! (`ts` masked for the caching levels, whose cached DROPs render their
 //! record from the live invocation), on final STATE dictionaries, and
 //! on the drop/invocation counters. The seeded generator here spans
-//! every selector family (`-s`/`-d`/`-p -i`/`-o`/`-r`/`--ctx-missing`/`-m`)
+//! every selector family (`-s`/`-d`/`-p -i`/`-o`/`-r`/`--ctx-missing`/`-m`,
+//! and, in the fault-free runs, rules without `-o`)
 //! and every target family (ACCEPT, DROP, RETURN, LOG, TRACE, STATE,
 //! RATELIMIT, QUOTA, user-chain jumps three levels deep), and each run
 //! drives the trace through a mid-trace hot reload (artifact rebuild +
@@ -53,21 +54,37 @@ fn input_rule(rng: &mut Xorshift64, stateful: bool) -> String {
         let subj = if rng.chance(50) { "user_t" } else { "httpd_t" };
         line.push_str(&format!(" -s {subj}"));
     }
-    match rng.below(100) {
-        0..=69 => line.push_str(&format!(" -d {}", labels[lbl])),
-        70..=77 => line.push_str(&format!(" -d ~{}", labels[lbl])),
-        78..=85 => line.push_str(&format!(
-            " -d {{{}|{}}}",
-            labels[lbl],
-            labels[rng.below(5) as usize]
-        )),
-        _ => {}
-    }
+    let positive_label = match rng.below(100) {
+        0..=69 => {
+            line.push_str(&format!(" -d {}", labels[lbl]));
+            true
+        }
+        70..=77 => {
+            line.push_str(&format!(" -d ~{}", labels[lbl]));
+            false
+        }
+        78..=85 => {
+            line.push_str(&format!(
+                " -d {{{}|{}}}",
+                labels[lbl],
+                labels[rng.below(5) as usize]
+            ));
+            true
+        }
+        _ => false,
+    };
     if rng.chance(40) {
         line.push_str(&format!(" -p /bin/victim -i {:#x}", 0x100 + rng.below(3)));
     }
     let op = ["FILE_OPEN", "DIR_SEARCH"][usize::from(rng.chance(25))];
-    line.push_str(&format!(" -o {op}"));
+    // Some fault-free rules leave out `-o`, so RULESETC's op-wildcard
+    // node sees traffic. Only with a positive pool label: without `-o`,
+    // a negated or absent label also matches the harness's fork, which
+    // a DROP would deny. The fault runs keep `-o` on every rule: there
+    // a fork's failed label read could fail closed on a rule without it.
+    if !(stateful && positive_label && rng.chance(15)) {
+        line.push_str(&format!(" -o {op}"));
+    }
     if rng.chance(10) {
         // Almost never matches a real device/inode fold — exercises
         // resource-based exclusion, not matching.
